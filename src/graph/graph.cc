@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/error.h"
 
@@ -87,9 +88,16 @@ Graph induced_subgraph(const Graph& g, std::span<const index_t> vertices,
   for (index_t i = 0; i < s.n; ++i) s.adj_ptr[i + 1] += s.adj_ptr[i];
   s.adj.resize(static_cast<std::size_t>(s.adj_ptr.back()));
   s.ewgt.resize(s.adj.size());
+  // Local ids are monotone in global ids exactly when `vertices` is
+  // ascending (as every nested-dissection list is); then each copied list is
+  // already sorted. Otherwise sort each (neighbor, weight) list together
+  // through one reused buffer.
+  const bool ascending = std::is_sorted(vertices.begin(), vertices.end());
+  std::vector<std::pair<index_t, index_t>> tmp;
   for (index_t i = 0; i < s.n; ++i) {
     const index_t v = vertices[i];
-    index_t q = s.adj_ptr[i];
+    const index_t begin = s.adj_ptr[i];
+    index_t q = begin;
     for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
       const index_t lu = local_of[g.adj[p]];
       if (lu == kNone) continue;
@@ -97,17 +105,13 @@ Graph induced_subgraph(const Graph& g, std::span<const index_t> vertices,
       s.ewgt[q] = g.ewgt[p];
       ++q;
     }
-    // Local ids are not monotone in global ids, so restore sortedness.
-    // Sort the (neighbor, weight) pairs of this vertex together.
-    std::vector<std::pair<index_t, index_t>> tmp;
-    tmp.reserve(static_cast<std::size_t>(q - s.adj_ptr[i]));
-    for (index_t t = s.adj_ptr[i]; t < q; ++t) {
-      tmp.emplace_back(s.adj[t], s.ewgt[t]);
-    }
+    if (ascending) continue;
+    tmp.clear();
+    for (index_t t = begin; t < q; ++t) tmp.emplace_back(s.adj[t], s.ewgt[t]);
     std::sort(tmp.begin(), tmp.end());
-    for (index_t t = s.adj_ptr[i]; t < q; ++t) {
-      s.adj[t] = tmp[t - s.adj_ptr[i]].first;
-      s.ewgt[t] = tmp[t - s.adj_ptr[i]].second;
+    for (index_t t = begin; t < q; ++t) {
+      s.adj[t] = tmp[t - begin].first;
+      s.ewgt[t] = tmp[t - begin].second;
     }
   }
   for (index_t v : vertices) local_of[v] = kNone;

@@ -51,37 +51,36 @@ class NestedDissector {
       return;
     }
 
-    const Graph sub = induced_subgraph(g_, vertices, local_of_);
-    Bisection b = multilevel_bisection(sub, opts_.partition, rng_);
-    const std::vector<index_t> sep = vertex_separator(sub, &b);
-
-    // A degenerate split (everything in the separator or one side empty and
-    // no separator) cannot make progress; fall back to a leaf ordering.
     std::vector<index_t> part[2];
-    for (index_t v = 0; v < sub.n; ++v) {
-      if (b.side[v] != 2) part[b.side[v]].push_back(vertices[v]);
-    }
-    if (part[0].empty() || part[1].empty()) {
-      order_leaf(vertices, out_begin);
-      return;
-    }
+    {
+      // The subgraph and its bisection are freed before recursing, so only
+      // vertex lists (not graphs) stay live along the recursion path.
+      const Graph sub = induced_subgraph(g_, vertices, local_of_);
+      Bisection b = multilevel_bisection(sub, opts_.partition, rng_);
+      const std::vector<index_t> sep = vertex_separator(sub, &b);
 
-    // Order: part 0, part 1, then separator last (it is the elimination-tree
-    // root of this subproblem).
-    const auto n0 = static_cast<index_t>(part[0].size());
-    const auto n1 = static_cast<index_t>(part[1].size());
-    index_t sep_begin = out_begin + n0 + n1;
-    for (index_t s : sep) {
-      perm_[sep_begin++] = vertices[s];
+      // A degenerate split (everything in the separator or one side empty
+      // and no separator) cannot make progress; fall back to a leaf
+      // ordering.
+      split_sides(b, vertices, part);
+      if (part[0].empty() || part[1].empty()) {
+        order_leaf(vertices, out_begin);
+        return;
+      }
+
+      // Order: part 0, part 1, then separator last (it is the
+      // elimination-tree root of this subproblem).
+      index_t sep_begin = out_begin + static_cast<index_t>(part[0].size() +
+                                                           part[1].size());
+      for (index_t s : sep) perm_[sep_begin++] = vertices[s];
     }
     // Recurse. Free the parent's vertex list before descending to bound
     // peak memory to O(n log n) -> O(n) per level.
-    std::vector<index_t> p0 = std::move(part[0]);
-    std::vector<index_t> p1 = std::move(part[1]);
+    const auto n0 = static_cast<index_t>(part[0].size());
     vertices.clear();
     vertices.shrink_to_fit();
-    dissect(std::move(p0), out_begin);
-    dissect(std::move(p1), out_begin + n0);
+    dissect(std::move(part[0]), out_begin);
+    dissect(std::move(part[1]), out_begin + n0);
   }
 
   const Graph& g_;

@@ -12,6 +12,8 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 
 #include "graph/ordering.h"
 #include "graph/partition.h"
@@ -32,10 +34,11 @@ std::uint64_t derive_seed(std::uint64_t parent, std::uint64_t salt) {
 class ParallelDissector {
  public:
   ParallelDissector(const Graph& g, const OrderingOptions& opts,
-                    ThreadPool& pool)
+                    ThreadPool& pool, std::set<std::thread::id>* bisectors)
       : g_(g),
         opts_(opts),
         pool_(pool),
+        bisectors_(bisectors),
         perm_(static_cast<std::size_t>(g.n), kNone) {}
 
   std::vector<index_t> run() {
@@ -69,15 +72,15 @@ class ParallelDissector {
   void submit_task(std::vector<index_t> vertices, index_t out_begin,
                    std::uint64_t seed) {
     // Small subproblems run inline in the parent task: task-spawn overhead
-    // would otherwise dominate near the leaves.
-    auto work = [this, vertices = std::move(vertices), out_begin, seed]() {
-      dissect(vertices, out_begin, seed);
-    };
+    // would otherwise dominate near the leaves. Decide before `vertices` is
+    // moved into the task.
     if (static_cast<index_t>(vertices.size()) <= 4 * opts_.nd_leaf_size) {
-      work();
-    } else {
-      pool_.submit(std::move(work));
+      dissect(vertices, out_begin, seed);
+      return;
     }
+    pool_.submit([this, vertices = std::move(vertices), out_begin, seed]() {
+      dissect(vertices, out_begin, seed);
+    });
   }
 
   void order_leaf(const std::vector<index_t>& vertices, index_t out_begin) {
@@ -104,26 +107,29 @@ class ParallelDissector {
       order_leaf(vertices, out_begin);
       return;
     }
-    Prng rng(seed);
-    auto scratch = acquire_scratch();
-    const Graph sub = induced_subgraph(g_, vertices, *scratch);
-    release_scratch(std::move(scratch));
-    Bisection b = multilevel_bisection(sub, opts_.partition, rng);
-    const std::vector<index_t> sep = vertex_separator(sub, &b);
-
-    std::vector<index_t> part[2];
-    for (index_t v = 0; v < sub.n; ++v) {
-      if (b.side[v] != 2) part[b.side[v]].push_back(vertices[v]);
+    if (bisectors_ != nullptr) {
+      std::lock_guard<std::mutex> lock(bisectors_mu_);
+      bisectors_->insert(std::this_thread::get_id());
     }
-    if (part[0].empty() || part[1].empty()) {
-      order_leaf(vertices, out_begin);
-      return;
+    std::vector<index_t> part[2];
+    {
+      // The subgraph and its bisection are freed before the children run.
+      Prng rng(seed);
+      auto scratch = acquire_scratch();
+      const Graph sub = induced_subgraph(g_, vertices, *scratch);
+      release_scratch(std::move(scratch));
+      Bisection b = multilevel_bisection(sub, opts_.partition, rng);
+      const std::vector<index_t> sep = vertex_separator(sub, &b);
+      split_sides(b, vertices, part);
+      if (part[0].empty() || part[1].empty()) {
+        order_leaf(vertices, out_begin);
+        return;
+      }
+      index_t sep_begin = out_begin + static_cast<index_t>(part[0].size() +
+                                                           part[1].size());
+      for (index_t s : sep) perm_[sep_begin++] = vertices[s];
     }
     const auto n0 = static_cast<index_t>(part[0].size());
-    const auto n1 = static_cast<index_t>(part[1].size());
-    index_t sep_begin = out_begin + n0 + n1;
-    for (index_t s : sep) perm_[sep_begin++] = vertices[s];
-
     submit_task(std::move(part[0]), out_begin, derive_seed(seed, 0));
     submit_task(std::move(part[1]), out_begin + n0, derive_seed(seed, 1));
   }
@@ -131,6 +137,8 @@ class ParallelDissector {
   const Graph& g_;
   const OrderingOptions& opts_;
   ThreadPool& pool_;
+  std::set<std::thread::id>* bisectors_;  // test hook; usually nullptr
+  std::mutex bisectors_mu_;
   std::vector<index_t> perm_;  // disjoint slices written by distinct tasks
   std::mutex scratch_mu_;
   std::vector<std::unique_ptr<std::vector<index_t>>> scratch_pool_;
@@ -141,11 +149,29 @@ class ParallelDissector {
 std::vector<index_t> nested_dissection_parallel(const Graph& g,
                                                 const OrderingOptions& opts,
                                                 ThreadPool& pool) {
-  if (g.n == 0) return {};
-  ParallelDissector nd(g, opts, pool);
-  std::vector<index_t> perm = nd.run();
-  PARFACT_CHECK(std::count(perm.begin(), perm.end(), kNone) == 0);
+  return detail::nested_dissection_parallel(g, opts, pool, nullptr);
+}
+
+namespace detail {
+
+std::vector<index_t> nested_dissection_parallel(const Graph& g,
+                                                const OrderingOptions& opts,
+                                                ThreadPool& pool,
+                                                int* bisecting_threads) {
+  std::set<std::thread::id> bisectors;
+  std::vector<index_t> perm;
+  if (g.n > 0) {
+    ParallelDissector nd(g, opts, pool,
+                         bisecting_threads != nullptr ? &bisectors : nullptr);
+    perm = nd.run();
+    PARFACT_CHECK(std::count(perm.begin(), perm.end(), kNone) == 0);
+  }
+  if (bisecting_threads != nullptr) {
+    *bisecting_threads = static_cast<int>(bisectors.size());
+  }
   return perm;
 }
+
+}  // namespace detail
 
 }  // namespace parfact

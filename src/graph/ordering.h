@@ -40,6 +40,15 @@ struct OrderingOptions {
 [[nodiscard]] std::vector<index_t> nested_dissection_parallel(
     const Graph& g, const OrderingOptions& opts, ThreadPool& pool);
 
+namespace detail {
+/// nested_dissection_parallel that also reports in `*bisecting_threads` how
+/// many distinct threads bisected a subgraph. Test hook: proves that sibling
+/// subproblems really run on different pool workers.
+[[nodiscard]] std::vector<index_t> nested_dissection_parallel(
+    const Graph& g, const OrderingOptions& opts, ThreadPool& pool,
+    int* bisecting_threads);
+}  // namespace detail
+
 /// Exact-external-degree minimum degree on a quotient graph with element
 /// absorption. Suitable for graphs up to a few hundred thousand vertices.
 [[nodiscard]] std::vector<index_t> minimum_degree(const Graph& g);

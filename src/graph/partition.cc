@@ -1,9 +1,10 @@
 #include "graph/partition.h"
 
 #include <algorithm>
+#include <functional>
+#include <initializer_list>
 #include <numeric>
 #include <queue>
-#include <tuple>
 #include <utility>
 
 #include "graph/traversal.h"
@@ -79,13 +80,26 @@ Bisection greedy_grow_bisection(const Graph& g, Prng& rng) {
 
 namespace {
 
-/// Gain of moving v to the other side: (cut removed) - (cut added).
-count_t move_gain(const Graph& g, const Bisection& b, index_t v) {
-  count_t gain = 0;
+/// Moves v to the other side and keeps the external/internal edge weights
+/// of v and its neighbors current: O(deg v), no rescan of the adjacency.
+void move_vertex(const Graph& g, index_t v, Bisection* b,
+                 std::vector<index_t>& ext, std::vector<index_t>& in) {
+  const int from = b->side[v];
+  const int to = 1 - from;
+  b->side[v] = static_cast<signed char>(to);
+  b->side_weight[from] -= g.vwgt[v];
+  b->side_weight[to] += g.vwgt[v];
+  std::swap(ext[v], in[v]);
   for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
-    gain += (b.side[g.adj[p]] != b.side[v]) ? g.ewgt[p] : -g.ewgt[p];
+    const index_t u = g.adj[p];
+    if (b->side[u] == to) {
+      ext[u] -= g.ewgt[p];
+      in[u] += g.ewgt[p];
+    } else {
+      ext[u] += g.ewgt[p];
+      in[u] -= g.ewgt[p];
+    }
   }
-  return gain;
 }
 
 }  // namespace
@@ -95,41 +109,50 @@ void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b) {
   const auto max_side = static_cast<count_t>(
       (1.0 + opts.balance_tol) / 2.0 * static_cast<double>(total));
 
+  // External (cut) and internal edge weight of every vertex, computed once
+  // and then updated on each move and rollback. The gain of moving v is
+  // ext[v] - in[v]; v is on the boundary iff ext[v] > 0 (edge weights are
+  // positive). Coarsening never increases the total edge weight, so each
+  // sum fits the index_t that counts the input's adjacency entries.
+  std::vector<index_t> ext(static_cast<std::size_t>(g.n), 0);
+  std::vector<index_t> in(static_cast<std::size_t>(g.n), 0);
+  const auto gain = [&](index_t v) { return count_t{ext[v]} - in[v]; };
+  for (index_t v = 0; v < g.n; ++v) {
+    for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
+      (b->side[g.adj[p]] != b->side[v] ? ext : in)[v] += g.ewgt[p];
+    }
+  }
+
   std::vector<char> locked(static_cast<std::size_t>(g.n));
-  std::vector<count_t> gain(static_cast<std::size_t>(g.n));
+  std::vector<std::pair<count_t, index_t>> seed;
+  std::vector<index_t> moved;  // in order, to allow rollback past the best
 
   for (int pass = 0; pass < opts.fm_passes; ++pass) {
     std::fill(locked.begin(), locked.end(), 0);
-    // Lazy max-heap of (gain, vertex); stale entries skipped on pop.
-    std::priority_queue<std::pair<count_t, index_t>> heap;
+    // Lazy max-heap of (gain, vertex); stale entries skipped on pop. Seeded
+    // with boundary vertices only; interior vertices enter the heap when a
+    // neighbor moves. The pop sequence depends only on the entries held, not
+    // on the order they were pushed in.
+    seed.clear();
     for (index_t v = 0; v < g.n; ++v) {
-      gain[v] = move_gain(g, *b, v);
-      // Seed with boundary vertices only; interior vertices enter the heap
-      // when a neighbor moves.
-      bool boundary = false;
-      for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1] && !boundary; ++p) {
-        boundary = b->side[g.adj[p]] != b->side[v];
-      }
-      if (boundary) heap.emplace(gain[v], v);
+      if (ext[v] > 0) seed.emplace_back(gain(v), v);
     }
+    std::priority_queue<std::pair<count_t, index_t>> heap(
+        std::less<std::pair<count_t, index_t>>(), std::move(seed));
 
     count_t best_improvement = 0;
     count_t improvement = 0;
-    std::vector<index_t> moved;  // in order, to allow rollback past the best
+    moved.clear();
     std::size_t best_prefix = 0;
 
     while (!heap.empty()) {
       const auto [gv, v] = heap.top();
       heap.pop();
-      if (locked[v] || gv != gain[v]) continue;
-      const int from = b->side[v];
-      const int to = 1 - from;
-      if (b->side_weight[to] + g.vwgt[v] > max_side) continue;
+      if (locked[v] || gv != gain(v)) continue;
+      if (b->side_weight[1 - b->side[v]] + g.vwgt[v] > max_side) continue;
       // Tentatively move v.
       locked[v] = 1;
-      b->side[v] = static_cast<signed char>(to);
-      b->side_weight[from] -= g.vwgt[v];
-      b->side_weight[to] += g.vwgt[v];
+      move_vertex(g, v, b, ext, in);
       improvement += gv;
       moved.push_back(v);
       if (improvement > best_improvement) {
@@ -138,9 +161,7 @@ void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b) {
       }
       for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
         const index_t u = g.adj[p];
-        if (locked[u]) continue;
-        gain[u] = move_gain(g, *b, u);
-        heap.emplace(gain[u], u);
+        if (!locked[u]) heap.emplace(gain(u), u);
       }
       // Bail out of clearly unprofitable passes.
       if (moved.size() > best_prefix + 200 && improvement < best_improvement) {
@@ -150,11 +171,7 @@ void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b) {
 
     // Roll back moves past the best prefix.
     for (std::size_t k = moved.size(); k > best_prefix; --k) {
-      const index_t v = moved[k - 1];
-      const int cur = b->side[v];
-      b->side[v] = static_cast<signed char>(1 - cur);
-      b->side_weight[cur] -= g.vwgt[v];
-      b->side_weight[1 - cur] += g.vwgt[v];
+      move_vertex(g, moved[k - 1], b, ext, in);
     }
     b->cut -= best_improvement;
     if (best_improvement == 0) break;
@@ -175,7 +192,10 @@ Graph coarsen(const Graph& g, Prng& rng, std::vector<index_t>* cmap) {
     std::swap(order[i], order[rng.next_index(i + 1)]);
   }
 
-  index_t n_coarse = 0;
+  // Fine members of each coarse vertex: the visited vertex and its match
+  // (kNone when it stayed single).
+  std::vector<std::pair<index_t, index_t>> members;
+  members.reserve(static_cast<std::size_t>(g.n));
   for (index_t v : order) {
     if ((*cmap)[v] != kNone) continue;
     // Heavy-edge: match with the unmatched neighbor of max edge weight.
@@ -188,45 +208,49 @@ Graph coarsen(const Graph& g, Prng& rng, std::vector<index_t>* cmap) {
         best_w = g.ewgt[p];
       }
     }
-    (*cmap)[v] = n_coarse;
-    if (best != kNone) (*cmap)[best] = n_coarse;
-    ++n_coarse;
+    const auto cv = static_cast<index_t>(members.size());
+    (*cmap)[v] = cv;
+    if (best != kNone) (*cmap)[best] = cv;
+    members.emplace_back(v, best);
   }
 
+  const auto n_coarse = static_cast<index_t>(members.size());
   Graph c;
   c.n = n_coarse;
-  c.vwgt.assign(static_cast<std::size_t>(n_coarse), 0);
-  for (index_t v = 0; v < g.n; ++v) c.vwgt[(*cmap)[v]] += g.vwgt[v];
-
-  // Build coarse adjacency: union of mapped edges with summed weights.
-  std::vector<std::pair<index_t, std::pair<index_t, index_t>>> edges;
-  for (index_t v = 0; v < g.n; ++v) {
-    const index_t cv = (*cmap)[v];
-    for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
-      const index_t cu = (*cmap)[g.adj[p]];
-      if (cu != cv) edges.push_back({cv, {cu, g.ewgt[p]}});
-    }
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(a.first, a.second.first) <
-                     std::tie(b.first, b.second.first);
-            });
+  c.vwgt.resize(static_cast<std::size_t>(n_coarse));
   c.adj_ptr.assign(static_cast<std::size_t>(n_coarse) + 1, 0);
-  for (std::size_t k = 0; k < edges.size();) {
-    const index_t cv = edges[k].first;
-    const index_t cu = edges[k].second.first;
-    index_t w = 0;
-    while (k < edges.size() && edges[k].first == cv &&
-           edges[k].second.first == cu) {
-      w += edges[k].second.second;
-      ++k;
+
+  // Coarse adjacency, one coarse vertex at a time: sum the weights of the
+  // members' edges into a dense accumulator indexed by coarse neighbor, then
+  // sort just that vertex's short neighbor list. O(|E|) plus one short sort
+  // per coarse vertex.
+  std::vector<index_t> acc(static_cast<std::size_t>(n_coarse), 0);
+  std::vector<index_t> seen_by(static_cast<std::size_t>(n_coarse), kNone);
+  std::vector<index_t> touched;
+  for (index_t cv = 0; cv < n_coarse; ++cv) {
+    const auto [a, m] = members[cv];
+    c.vwgt[cv] = g.vwgt[a] + (m != kNone ? g.vwgt[m] : 0);
+    for (const index_t v : {a, m}) {
+      if (v == kNone) continue;
+      for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
+        const index_t cu = (*cmap)[g.adj[p]];
+        if (cu == cv) continue;
+        if (seen_by[cu] != cv) {
+          seen_by[cu] = cv;
+          touched.push_back(cu);
+        }
+        acc[cu] += g.ewgt[p];
+      }
     }
-    c.adj.push_back(cu);
-    c.ewgt.push_back(w);
-    ++c.adj_ptr[cv + 1];
+    std::sort(touched.begin(), touched.end());
+    for (const index_t cu : touched) {
+      c.adj.push_back(cu);
+      c.ewgt.push_back(acc[cu]);
+      acc[cu] = 0;
+    }
+    touched.clear();
+    c.adj_ptr[cv + 1] = static_cast<index_t>(c.adj.size());
   }
-  for (index_t v = 0; v < n_coarse; ++v) c.adj_ptr[v + 1] += c.adj_ptr[v];
   return c;
 }
 
@@ -235,25 +259,30 @@ Bisection multilevel_bisection(const Graph& g, const PartitionOptions& opts,
   PARFACT_CHECK(g.n >= 2);
   Bisection best;
   for (int attempt = 0; attempt < std::max(1, opts.attempts); ++attempt) {
-    // Coarsening phase.
-    std::vector<Graph> levels;
+    // Coarsening phase. Level 0 is the input itself, held by reference;
+    // coarse[l - 1] is level l.
+    std::vector<Graph> coarse;
     std::vector<std::vector<index_t>> maps;
-    levels.push_back(g);
-    while (levels.back().n > opts.coarse_target) {
+    const auto level = [&](std::size_t l) -> const Graph& {
+      return l == 0 ? g : coarse[l - 1];
+    };
+    while (level(coarse.size()).n > opts.coarse_target) {
+      const Graph& fine = level(coarse.size());
       std::vector<index_t> cmap;
-      Graph c = coarsen(levels.back(), rng, &cmap);
-      if (c.n >= levels.back().n * 95 / 100) break;  // matching stalled
+      Graph c = coarsen(fine, rng, &cmap);
+      if (c.n >= fine.n * 95 / 100) break;  // matching stalled
       maps.push_back(std::move(cmap));
-      levels.push_back(std::move(c));
+      coarse.push_back(std::move(c));
     }
 
     // Initial bisection at the coarsest level.
-    Bisection b = greedy_grow_bisection(levels.back(), rng);
-    fm_refine(levels.back(), opts, &b);
+    const Graph& coarsest = level(coarse.size());
+    Bisection b = greedy_grow_bisection(coarsest, rng);
+    fm_refine(coarsest, opts, &b);
 
     // Uncoarsening with refinement.
     for (std::size_t l = maps.size(); l > 0; --l) {
-      const Graph& fine = levels[l - 1];
+      const Graph& fine = level(l - 1);
       Bisection fb;
       fb.side.resize(static_cast<std::size_t>(fine.n));
       for (index_t v = 0; v < fine.n; ++v) fb.side[v] = b.side[maps[l - 1][v]];
@@ -307,6 +336,20 @@ std::vector<index_t> vertex_separator(const Graph& g, Bisection* b) {
     b->side[v] = 2;
   }
   return separator;
+}
+
+void split_sides(const Bisection& b, std::span<const index_t> ids,
+                 std::vector<index_t> part[2]) {
+  PARFACT_CHECK(ids.size() == b.side.size());
+  std::size_t count[3] = {0, 0, 0};
+  for (const signed char s : b.side) ++count[s];
+  for (int s = 0; s < 2; ++s) {
+    part[s].clear();
+    part[s].reserve(count[s]);
+  }
+  for (std::size_t v = 0; v < ids.size(); ++v) {
+    if (b.side[v] != 2) part[b.side[v]].push_back(ids[v]);
+  }
 }
 
 }  // namespace parfact

@@ -7,6 +7,7 @@
 // then uncoarsen while refining the cut with FM passes at every level.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -51,7 +52,9 @@ void recompute_bisection_stats(const Graph& g, Bisection* b);
 
 /// Boundary FM refinement: hill-climbing passes that move boundary vertices
 /// between sides, keeping balance within `opts.balance_tol`, keeping the best
-/// prefix of each pass. Updates b in place.
+/// prefix of each pass. Updates b in place. Edge weights must be positive
+/// (as graph_from_pattern and coarsen produce them). Costs O(|E|) plus, per
+/// pass, O(n) to seed the boundary and O(degree) per tried move.
 void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b);
 
 /// Heavy-edge matching coarsening step. Returns the coarse graph and fills
@@ -70,5 +73,11 @@ void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b);
 /// their list. After the call no 0-1 edge remains.
 [[nodiscard]] std::vector<index_t> vertex_separator(const Graph& g,
                                                     Bisection* b);
+
+/// Collects the side-0 and side-1 vertices of a bisection whose separator
+/// has been extracted, translated through `ids`: part[s] holds ids[v] for
+/// every v with b.side[v] == s, in vertex order, each list sized exactly.
+void split_sides(const Bisection& b, std::span<const index_t> ids,
+                 std::vector<index_t> part[2]);
 
 }  // namespace parfact

@@ -13,7 +13,9 @@
 #include "symbolic/etree.h"
 #include "sparse/gen.h"
 #include "sparse/ops.h"
+#include "support/checksum.h"
 #include "support/prng.h"
+#include "support/thread_pool.h"
 
 namespace parfact {
 namespace {
@@ -286,12 +288,127 @@ TEST(Ordering, ParallelNdQualityComparableToSequential) {
   EXPECT_GT(static_cast<double>(f_par), 0.65 * static_cast<double>(f_seq));
 }
 
+TEST(Ordering, ParallelNdFansOutAcrossPoolWorkers) {
+  // Far above the 4 * nd_leaf_size inline cutoff, so the halves of every
+  // upper bisection are separate pool tasks and at least two of the pool's
+  // workers must bisect. A worker that sleeps through the whole run would
+  // defeat one attempt, so allow a few.
+  const Graph g = graph_from_pattern(grid_laplacian_2d(64, 64, 5));
+  OrderingOptions opts;
+  ASSERT_GT(g.n, 16 * opts.nd_leaf_size);
+  ThreadPool pool(2);
+  int most = 0;
+  for (int attempt = 0; attempt < 5 && most < 2; ++attempt) {
+    int threads = 0;
+    const auto perm =
+        detail::nested_dissection_parallel(g, opts, pool, &threads);
+    ASSERT_EQ(perm, nested_dissection_parallel(g, opts, pool));
+    most = std::max(most, threads);
+  }
+  EXPECT_EQ(most, 2);
+}
+
 TEST(Ordering, ParallelNdTinyAndEmptyGraphs) {
   ThreadPool pool(2);
   OrderingOptions opts;
   EXPECT_TRUE(nested_dissection_parallel(Graph{}, opts, pool).empty());
   const auto perm = nested_dissection_parallel(path_graph(5), opts, pool);
   expect_valid_ordering(perm, 5);
+}
+
+// --- Golden ordering fingerprints -------------------------------------------
+// The partitioner's per-level costs may be optimized, but never at the price
+// of a different ordering: a changed permutation moves every symbolic count
+// downstream. These FNV-1a digests pin the exact outputs of the coarsening,
+// refinement and both ND drivers; a mismatch means the ordering changed.
+// They hash in-memory bytes, so they assume a little-endian host and the
+// 32-bit index_t of support/types.h.
+
+template <class T>
+std::uint64_t digest(const std::vector<T>& v,
+                     std::uint64_t seed = kFnv1aOffsetBasis) {
+  return fnv1a(v.data(), v.size() * sizeof(T), seed);
+}
+
+std::uint64_t digest(const Graph& g, std::uint64_t seed) {
+  std::uint64_t h = fnv1a_pod(g.n, seed);
+  h = digest(g.adj_ptr, h);
+  h = digest(g.adj, h);
+  h = digest(g.vwgt, h);
+  return digest(g.ewgt, h);
+}
+
+struct GoldenInput {
+  const char* name;
+  SparseMatrix (*make)();
+};
+
+const GoldenInput kGoldenInputs[] = {
+    {"grid2d_5pt", [] { return grid_laplacian_2d(40, 37, 5); }},
+    {"grid2d_9pt", [] { return grid_laplacian_2d(33, 30, 9); }},
+    {"grid3d_7pt", [] { return grid_laplacian_3d(12, 11, 10, 7); }},
+};
+
+struct OrderingDigests {
+  std::uint64_t sequential;
+  std::uint64_t parallel;  // identical for every pool size
+};
+
+TEST(GoldenOrdering, CoarsenAndRefineUnchanged) {
+  const Graph g = graph_from_pattern(grid_laplacian_2d(30, 29, 9));
+  Prng rng(11);
+  std::vector<index_t> cmap1, cmap2;
+  const Graph c1 = coarsen(g, rng, &cmap1);
+  const Graph c2 = coarsen(c1, rng, &cmap2);
+  std::uint64_t h = digest(cmap1);
+  h = digest(c1, h);
+  h = digest(cmap2, h);
+  h = digest(c2, h);
+
+  // Refine on the weighted coarse graph and on the unit-weight fine graph.
+  PartitionOptions opts;
+  Bisection bc = greedy_grow_bisection(c2, rng);
+  fm_refine(c2, opts, &bc);
+  Bisection bf = greedy_grow_bisection(g, rng);
+  fm_refine(g, opts, &bf);
+  std::uint64_t r = digest(bc.side);
+  r = fnv1a_pod(bc.cut, r);
+  r = digest(bf.side, r);
+  r = fnv1a_pod(bf.cut, r);
+
+  EXPECT_EQ(h, 0x0d4c37c6099c9dbbull) << std::hex << h;
+  EXPECT_EQ(r, 0xd3a5e109fb1f34e8ull) << std::hex << r;
+}
+
+TEST(GoldenOrdering, NestedDissectionUnchanged) {
+  // kGolden[seed index][input index]; seeds {1, 7}.
+  const std::uint64_t seeds[] = {1, 7};
+  const OrderingDigests kGolden[2][3] = {
+      {{0x9e0e9ea65ea1a0b9ull, 0x940f8c21bbfe66e9ull},
+       {0x2c375d7d604ec628ull, 0x4fe220da6eb74174ull},
+       {0xa7390fc9e677fb65ull, 0x4a6af8757d4bd50dull}},
+      {{0xa7528ab8c35be88dull, 0xb6000728dab40b05ull},
+       {0xa20dbf99ebb72d70ull, 0x4072c3e289a9b254ull},
+       {0x18fe43633c2f16c1ull, 0xa64a2611eefe4381ull}},
+  };
+  ThreadPool p1(1), p4(4);
+  for (int s = 0; s < 2; ++s) {
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE(testing::Message() << kGoldenInputs[i].name << " seed "
+                                      << seeds[s]);
+      const Graph g = graph_from_pattern(kGoldenInputs[i].make());
+      OrderingOptions opts;
+      opts.seed = seeds[s];
+      const std::uint64_t seq = digest(nested_dissection(g, opts));
+      const std::uint64_t par1 =
+          digest(nested_dissection_parallel(g, opts, p1));
+      const std::uint64_t par4 =
+          digest(nested_dissection_parallel(g, opts, p4));
+      EXPECT_EQ(seq, kGolden[s][i].sequential) << std::hex << seq;
+      EXPECT_EQ(par1, kGolden[s][i].parallel) << std::hex << par1;
+      EXPECT_EQ(par4, kGolden[s][i].parallel) << std::hex << par4;
+    }
+  }
 }
 
 class OrderingSeedTest : public ::testing::TestWithParam<std::uint64_t> {};
