@@ -1,27 +1,27 @@
-// F10 — Unified task-DAG runtime vs the static two-phase engine.
+// F10 — Unified task-DAG runtime vs the static two-phase schedule.
 //
 // Four exhibits:
 //   1. Bitwise identity: the task-DAG factorization must equal the serial
 //      factor exactly (values, LDLᵀ diagonal) at every thread count.
 //   2. Deterministic virtual makespan of the real task graphs (the exact
 //      graphs the engine executes, replayed by TaskGraph::simulate_makespan)
-//      against a virtual replay of the static two-phase schedule — same
-//      cost model, so the gap is pure scheduling: no phase barrier, top
-//      fronts overlap leftover subtree work, TRSM slabs pipeline into
-//      update slabs.
+//      against a virtual replay of the static two-phase schedule the
+//      runtime replaced (light subtrees, a barrier, then the top fronts one
+//      at a time) — same cost model, so the gap is pure scheduling: no
+//      phase barrier, top fronts overlap leftover subtree work, TRSM slabs
+//      pipeline into update slabs. The schedule survives only as this cost
+//      model; there is no second engine to run.
 //   3. Phase fusion: fused factor+forward-solve graph vs factor graph +
 //      barrier + forward-solve chain.
 //   4. The distributed analogue via perf/dag_sim: kTaskDag replay (per-panel
 //      extend-add floors) vs kLookahead at large rank counts.
 //
-// Wall-clock timings of the two engines are reported only when the host has
-// >= 4 hardware threads; on smaller hosts the virtual replay is the
-// deterministic evidence (which is also what CI asserts via --smoke).
+// The virtual replay is the deterministic evidence (which is also what CI
+// asserts via --smoke).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/solver.h"
@@ -33,14 +33,13 @@
 #include "runtime/task_graph.h"
 #include "solve/solve_schedule.h"
 #include "support/thread_pool.h"
-#include "support/timer.h"
 
 using namespace parfact;
 
 namespace {
 
-/// Mirrors FactorDag's slab sizing (dag_factor.cc) so the two-phase virtual
-/// schedule splits cooperative kernels exactly like the pool engine would.
+/// Mirrors FactorDag's slab sizing (dag_factor.cc) so the virtual two-phase
+/// schedule splits the top fronts' kernels into the same slabs.
 constexpr count_t kVTaskMinFlops = 4'000'000;
 constexpr index_t kVSlabMinRows = 64;
 
@@ -55,10 +54,10 @@ index_t vslab_count(count_t flops, index_t rows, int workers) {
 /// Builds the static two-phase schedule as a task graph with the same flop
 /// costs the DAG engine uses: maximal light subtrees as one task each, a
 /// global barrier, then the heavy top-of-tree fronts one at a time with
-/// stage-barriered intra-front slabs (the pool engine's parallel_for
-/// semantics). Task bodies are empty — this graph exists only to be
-/// replayed by simulate_makespan.
-void build_two_phase_graph(rt::TaskGraph& g, const SymbolicFactor& sym,
+/// stage-barriered intra-front slabs (every worker splits one kernel, then
+/// waits). Task bodies are empty — this graph exists only to be replayed by
+/// simulate_makespan.
+void build_phased_graph(rt::TaskGraph& g, const SymbolicFactor& sym,
                            count_t coop, int workers) {
   const index_t ns = sym.n_supernodes;
   std::vector<char> heavy(static_cast<std::size_t>(ns), 0);
@@ -151,9 +150,9 @@ void build_two_phase_graph(rt::TaskGraph& g, const SymbolicFactor& sym,
       const count_t slab_flops =
           std::max<count_t>(static_cast<count_t>(r1 - r0) * (r1 + r0) * p, 1);
       g.add_task(tag, [] {}, static_cast<double>(slab_flops));
-      // parallel_for barriers between the TRSM and SYRK stages: every
-      // update slab waits for the whole panel (unlike the DAG engine's
-      // per-slab pipelining).
+      // A barrier between the TRSM and SYRK stages: every update slab
+      // waits for the whole panel (unlike the DAG engine's per-slab
+      // pipelining).
       g.declare_deps(tag, trsm_tags);
       upd_tags.push_back(tag);
     }
@@ -319,7 +318,7 @@ int main(int argc, char** argv) {
         const rt::SimulatedSchedule d = dag_graph.simulate_makespan(T, 1.0);
 
         rt::TaskGraph tp_graph;
-        build_two_phase_graph(tp_graph, sym, kCoopFrontFlops, T);
+        build_phased_graph(tp_graph, sym, kCoopFrontFlops, T);
         tp_graph.seal();
         const rt::SimulatedSchedule t = tp_graph.simulate_makespan(T, 1.0);
 
@@ -333,10 +332,10 @@ int main(int argc, char** argv) {
             .field("section", "factor_makespan")
             .field("matrix", prob.name)
             .field("workers", T)
-            .field("two_phase_cost", t.makespan)
+            .field("twophase_cost", t.makespan)
             .field("taskdag_cost", d.makespan)
             .field("reduction", reduction)
-            .field("efficiency_two_phase", t.efficiency(T))
+            .field("efficiency_twophase", t.efficiency(T))
             .field("efficiency_taskdag", d.efficiency(T));
       }
     }
@@ -425,39 +424,6 @@ int main(int argc, char** argv) {
           .field("efficiency_lookahead", l.efficiency(p))
           .field("efficiency_taskdag", t.efficiency(p));
     }
-  }
-
-  bench::heading("F10.5: wall-clock, two-phase vs task-DAG engine");
-  if (std::thread::hardware_concurrency() >= 4 && !smoke) {
-    const SparseMatrix a = grid_laplacian_3d(20, 20, 20, 7);
-    const SymbolicFactor sym = analyze_nested_dissection(a);
-    ThreadPool pool(3);
-    double t_two = 1e300;
-    double t_dag = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      {
-        WallTimer w;
-        const CholeskyFactor f = multifrontal_factor_two_phase(sym, pool);
-        t_two = std::min(t_two, w.seconds());
-      }
-      {
-        WallTimer w;
-        const CholeskyFactor f = multifrontal_factor_parallel(sym, pool);
-        t_dag = std::min(t_dag, w.seconds());
-      }
-    }
-    std::printf("  4 threads: two-phase %.3fs, task-DAG %.3fs (%.1f%%)\n",
-                t_two, t_dag, 100.0 * (1.0 - t_dag / t_two));
-    json.row()
-        .field("section", "wallclock")
-        .field("threads", 4)
-        .field("two_phase_s", t_two)
-        .field("taskdag_s", t_dag);
-  } else {
-    std::printf(
-        "  skipped (host has %u hardware threads%s); virtual replay above "
-        "is the deterministic evidence\n",
-        std::thread::hardware_concurrency(), smoke ? ", smoke mode" : "");
   }
 
   if (fail.count > 0) {

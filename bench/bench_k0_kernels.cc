@@ -9,7 +9,6 @@
 #include "dense/kernels.h"
 #include "dense/matrix_view.h"
 #include "support/prng.h"
-#include "support/thread_pool.h"
 
 namespace parfact {
 namespace {
@@ -71,26 +70,6 @@ void BM_GemmTn(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GemmTn)->Arg(128)->Arg(256)->Arg(512);
-
-void BM_GemmNtPool(benchmark::State& state) {
-  const auto m = static_cast<index_t>(state.range(0));
-  ThreadPool pool(static_cast<int>(state.range(1)));
-  auto ca = std::vector<real_t>(static_cast<std::size_t>(m) * m, 0.0);
-  const auto aa = random_buffer(ca.size(), 15);
-  const auto ba = random_buffer(ca.size(), 16);
-  for (auto _ : state) {
-    gemm_nt_update(MatrixView{ca.data(), m, m, m},
-                   ConstMatrixView{aa.data(), m, m, m},
-                   ConstMatrixView{ba.data(), m, m, m}, &pool);
-    benchmark::DoNotOptimize(ca.data());
-  }
-  state.counters["Gflop/s"] = benchmark::Counter(
-      2.0 * m * m * m * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
-}
-// Real time, not CPU time: the work runs on pool workers, so the main
-// thread's CPU time would wildly overstate the rate.
-BENCHMARK(BM_GemmNtPool)->Args({512, 2})->Args({512, 4})->UseRealTime();
 
 void BM_SyrkLower(benchmark::State& state) {
   const auto m = static_cast<index_t>(state.range(0));

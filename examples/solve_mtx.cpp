@@ -46,14 +46,17 @@ int main(int argc, char** argv) {
   SolverOptions opts;
   Solver solver(opts);
   solver.analyze(a);
-  try {
-    solver.factorize();
-  } catch (const Error&) {
+  Status status = solver.factorize();
+  if (status.failed()) {
     std::printf("not positive definite — retrying with LDL^T\n");
     opts.factor_kind = FactorKind::kLdlt;
     solver = Solver(opts);
     solver.analyze(a);
-    solver.factorize();
+    status = solver.factorize();
+  }
+  if (status.failed()) {
+    std::fprintf(stderr, "error: %s\n", status.to_string().c_str());
+    return 1;
   }
 
   const std::vector<real_t> x = solver.solve_refined(b);

@@ -274,12 +274,7 @@ void SolverService::try_reload(Session& session) {
 Status SolverService::factorize(SessionId id) {
   return with_session(id, [this](Session& session) {
     prepare_capacity(session);
-    Status status;
-    try {
-      status = session.solver->factorize();
-    } catch (const StatusError& e) {
-      status = e.status();  // breakdown surfaces as data, service stays up
-    }
+    const Status status = session.solver->factorize();
     finish_factor(session, status);
     return status;
   });
@@ -293,12 +288,7 @@ Status SolverService::refactorize(SessionId id,
     const bool fast = session.solver->has_factor() &&
                       !session.solver->factor_spilled();
     if (!fast) prepare_capacity(session);
-    Status status;
-    try {
-      status = session.solver->refactorize(new_values);
-    } catch (const StatusError& e) {
-      status = e.status();
-    }
+    const Status status = session.solver->refactorize(new_values);
     finish_factor(session, status);
     return status;
   });

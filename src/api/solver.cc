@@ -129,6 +129,13 @@ CancelToken Solver::arm_cancel_scope() {
   return cancel_source_.token();
 }
 
+PivotPolicy Solver::pivot_policy() const {
+  PivotPolicy pivot;
+  pivot.boost = options_.static_pivoting;
+  pivot.threshold = options_.pivot_threshold;
+  return pivot;
+}
+
 std::string Solver::spill_path() const {
   if (!options_.spill_path.empty()) return options_.spill_path;
   static std::atomic<int> next{0};
@@ -155,14 +162,15 @@ void Solver::check_rhs(std::size_t b_size, index_t nrhs,
   }
 }
 
-ThreadPool* Solver::solve_pool() const {
+ThreadPool* Solver::pool() const {
   if (options_.threads <= 1) return nullptr;
   if (options_.shared_pool != nullptr) return options_.shared_pool;
-  if (!solve_pool_) solve_pool_ = std::make_unique<ThreadPool>(options_.threads);
-  return solve_pool_.get();
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.threads);
+  return pool_.get();
 }
 
-void Solver::build_solve_schedule() {
+void Solver::ensure_solve_schedule() {
+  if (solve_schedule_ != nullptr) return;
   // An adopted cache entry carries the precomputed schedule; copy it and
   // repoint it at this solver's own SymbolicFactor copy. The schedule is a
   // pure function of the structure and rhs_block, so the copy is exact —
@@ -274,15 +282,9 @@ void Solver::analyze(const SparseMatrix& lower) {
   std::vector<index_t> fill_perm;
   switch (options_.ordering) {
     case SolverOptions::Ordering::kNestedDissection:
-      if (options_.threads > 1) {
-        if (options_.shared_pool != nullptr) {
-          fill_perm = nested_dissection_parallel(
-              graph_from_pattern(lower), options_.nd, *options_.shared_pool);
-        } else {
-          ThreadPool pool(options_.threads);
-          fill_perm = nested_dissection_parallel(graph_from_pattern(lower),
-                                                 options_.nd, pool);
-        }
+      if (ThreadPool* workers = pool()) {
+        fill_perm = nested_dissection_parallel(graph_from_pattern(lower),
+                                               options_.nd, *workers);
       } else {
         fill_perm =
             nested_dissection(graph_from_pattern(lower), options_.nd);
@@ -334,91 +336,85 @@ void Solver::analyze(const SparseMatrix& lower) {
   report_.analyze_seconds = seconds;
 }
 
-Status Solver::factorize() {
-  PARFACT_CHECK_MSG(sym_.has_value(), "factorize() before analyze()");
-  // Reset factor state up front so a failed run leaves no stale factor and
-  // releases the previous run's reservation before re-admission.
+Status Solver::run_numeric(
+    const std::function<Status(NumericCall&)>& engine) {
+  // Drop the previous factor first, so a failed run leaves none behind and
+  // the previous reservation is released before re-admission.
   factor_.reset();
   ooc_factor_.reset();
-  solve_schedule_.reset();
   reservation_.reset();
   factor_checksums_ = FactorChecksums{};
-  report_.abft_checks = 0;
-  report_.abft_detections = 0;
-  report_.fronts_recomputed = 0;
-  report_.corruption_detected = false;
+  report_.admission = Admission::kUnlimited;
+  report_.peak_bytes = 0;
+  report_.bytes_spilled = 0;
   report_.verify_residual = 0.0;
 
-  if (options_.inject_sdc.has_value() &&
-      options_.inject_sdc->site != SdcSite::kStoredFactor &&
-      !options_.abft) {
-    return Status::failure(
-        StatusCode::kInvalidInput,
-        "inject_sdc with a factorization site requires options.abft — "
-        "without the checksum-carrying engine the flip would be a silent "
-        "wrong answer");
+  NumericCall call{pivot_policy(), arm_cancel_scope(), {}};
+  Status status;
+  try {
+    status = engine(call);
+  } catch (const StatusError& e) {
+    status = e.status();
   }
-  if (options_.abft) {
-    Status status = factorize_abft();
-    if (status.failed()) return status;
-    if (options_.inject_sdc.has_value() &&
-        options_.inject_sdc->site == SdcSite::kStoredFactor &&
-        factor_.has_value()) {
-      inject_factor_bitflip(*sym_, *factor_, *options_.inject_sdc);
-    }
-    return status;
-  }
-  budget_ = std::make_unique<ResourceBudget>(options_.memory_budget_bytes);
-
-  GovernedOptions gopts;
-  gopts.kind = options_.factor_kind;
-  gopts.pivot.boost = options_.static_pivoting;
-  gopts.pivot.threshold = options_.pivot_threshold;
-  gopts.two_phase =
-      options_.factor_engine == SolverOptions::FactorEngine::kTwoPhase;
-  gopts.spill_path = spill_path();
-  gopts.cancel = arm_cancel_scope();
-
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.threads > 1) {
-    if (options_.shared_pool != nullptr) {
-      gopts.pool = options_.shared_pool;
-    } else {
-      pool = std::make_unique<ThreadPool>(options_.threads);
-      gopts.pool = pool.get();
-    }
-  }
-  GovernedFactorizeResult result =
-      multifrontal_factorize_governed(*sym_, *budget_, gopts);
   // Fresh cancellation scope: a cancel()/deadline never poisons later calls.
   cancel_source_ = CancelSource();
 
+  report_.factor_seconds = call.stats.seconds;
+  report_.peak_update_bytes = call.stats.peak_update_bytes;
+  report_.pivot_perturbations = call.stats.pivot_perturbations;
+  report_.abft_checks = call.stats.abft_checks;
+  report_.abft_detections = call.stats.abft_detections;
+  report_.fronts_recomputed = call.stats.fronts_recomputed;
+  report_.corruption_detected = call.stats.abft_detections > 0;
+  if (status.failed()) {
+    // An interrupted engine may have left partial panels behind.
+    factor_.reset();
+    ooc_factor_.reset();
+    factor_checksums_ = FactorChecksums{};
+    return status;
+  }
+  if (factor_.has_value()) ensure_solve_schedule();
+  return status;
+}
+
+Status Solver::factorize() {
+  PARFACT_CHECK_MSG(sym_.has_value(), "factorize() before analyze()");
+  return run_numeric([this](NumericCall& call) {
+    const bool stored_flip =
+        options_.inject_sdc.has_value() &&
+        options_.inject_sdc->site == SdcSite::kStoredFactor;
+    if (options_.inject_sdc.has_value() && !stored_flip && !options_.abft) {
+      return Status::failure(
+          StatusCode::kInvalidInput,
+          "inject_sdc with a factorization site requires options.abft — "
+          "without the checksum-carrying engine the flip would be a silent "
+          "wrong answer");
+    }
+    const Status status =
+        options_.abft ? factorize_abft(call) : factorize_governed(call);
+    if (!status.failed() && stored_flip && factor_.has_value()) {
+      inject_factor_bitflip(*sym_, *factor_, *options_.inject_sdc);
+    }
+    return status;
+  });
+}
+
+Status Solver::factorize_governed(NumericCall& call) {
+  budget_ = std::make_unique<ResourceBudget>(options_.memory_budget_bytes);
+  GovernedOptions gopts;
+  gopts.kind = options_.factor_kind;
+  gopts.pivot = call.pivot;
+  gopts.pool = pool();
+  gopts.spill_path = spill_path();
+  gopts.cancel = call.cancel;
+  GovernedFactorizeResult result =
+      multifrontal_factorize_governed(*sym_, *budget_, gopts);
+  call.stats = result.stats;
   report_.admission = result.admission;
   report_.peak_bytes = budget_->peak_bytes();
   report_.bytes_spilled = result.bytes_spilled;
-  report_.factor_seconds = result.stats.seconds;
-  report_.peak_update_bytes = result.stats.peak_update_bytes;
-  report_.pivot_perturbations = result.stats.pivot_perturbations;
-
-  if (result.status.failed()) {
-    // Preserve the historical contract: a pivot breakdown (non-SPD input,
-    // or boost could not rescue the pivot) throws as before. Only the
-    // governance codes degrade to a returned Status.
-    if (result.status.code == StatusCode::kBreakdown) {
-      throw StatusError(result.status);
-    }
-    return result.status;
-  }
-  if (result.factor.has_value()) {
-    factor_.emplace(std::move(*result.factor));
-    build_solve_schedule();  // streamed OOC sweeps don't use the schedule
-    if (options_.inject_sdc.has_value() &&
-        options_.inject_sdc->site == SdcSite::kStoredFactor) {
-      inject_factor_bitflip(*sym_, *factor_, *options_.inject_sdc);
-    }
-  } else {
-    ooc_factor_.emplace(std::move(*result.ooc));
-  }
+  if (result.factor.has_value()) factor_.emplace(std::move(*result.factor));
+  if (result.ooc.has_value()) ooc_factor_.emplace(std::move(*result.ooc));
   reservation_ = std::move(result.reservation);
   return result.status;
 }
@@ -450,57 +446,19 @@ Status Solver::refactorize(std::span<const real_t> new_values) {
       options_.inject_sdc.has_value() || !factor_.has_value()) {
     return factorize();
   }
-
-  factor_checksums_ = FactorChecksums{};
-  report_.abft_checks = 0;
-  report_.abft_detections = 0;
-  report_.fronts_recomputed = 0;
-  report_.corruption_detected = false;
-  report_.verify_residual = 0.0;
-  FactorStats stats;
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
-  const CancelToken cancel = arm_cancel_scope();
-  try {
-    if (options_.threads > 1) {
-      std::unique_ptr<ThreadPool> owned;
-      ThreadPool* pool = options_.shared_pool;
-      if (pool == nullptr) {
-        owned = std::make_unique<ThreadPool>(options_.threads);
-        pool = owned.get();
-      }
-      if (options_.factor_engine == SolverOptions::FactorEngine::kTwoPhase) {
-        multifrontal_refactor_two_phase(*sym_, *factor_, *pool, &stats,
-                                        options_.factor_kind, kCoopFrontFlops,
-                                        pivot, cancel);
-      } else {
-        multifrontal_refactor_parallel(*sym_, *factor_, *pool, &stats,
-                                       options_.factor_kind, kCoopFrontFlops,
-                                       pivot, cancel);
-      }
+  CholeskyFactor factor = std::move(*factor_);
+  return run_numeric([this, &factor](NumericCall& call) {
+    if (ThreadPool* workers = pool()) {
+      multifrontal_refactor_parallel(*sym_, factor, *workers, &call.stats,
+                                     options_.factor_kind, kCoopFrontFlops,
+                                     call.pivot, call.cancel);
     } else {
-      multifrontal_refactor(*sym_, *factor_, &stats, options_.factor_kind,
-                            pivot, cancel);
+      multifrontal_refactor(*sym_, factor, &call.stats, options_.factor_kind,
+                            call.pivot, call.cancel);
     }
-  } catch (const StatusError& e) {
-    cancel_source_ = CancelSource();
-    // The interrupted panels hold partial results; drop them so a later
-    // refactorize/factorize starts from the no-factor state.
-    factor_.reset();
-    solve_schedule_.reset();
-    if (e.status().code == StatusCode::kBreakdown) throw;
-    return e.status();
-  }
-  cancel_source_ = CancelSource();
-  report_.admission = Admission::kUnlimited;
-  report_.peak_bytes = 0;
-  report_.bytes_spilled = 0;
-  report_.factor_seconds = stats.seconds;
-  report_.peak_update_bytes = stats.peak_update_bytes;
-  report_.pivot_perturbations = stats.pivot_perturbations;
-  if (solve_schedule_ == nullptr) build_solve_schedule();
-  return Status::success(stats.pivot_perturbations);
+    factor_.emplace(std::move(factor));
+    return Status::success(call.stats.pivot_perturbations);
+  });
 }
 
 Status Solver::spill_factor() {
@@ -551,7 +509,7 @@ Status Solver::unspill_factor() {
     return e.status();
   }
   ooc_factor_.reset();
-  build_solve_schedule();
+  ensure_solve_schedule();
   return Status::success();
 }
 
@@ -570,7 +528,7 @@ std::size_t Solver::factor_bytes() const {
   return 0;
 }
 
-Status Solver::factorize_abft() {
+Status Solver::factorize_abft(NumericCall& call) {
   if (options_.memory_budget_bytes > 0) {
     return Status::failure(
         StatusCode::kInvalidInput,
@@ -578,42 +536,16 @@ Status Solver::factorize_abft() {
         "checksum-carrying engine is the serial in-core path and has no "
         "admission ladder");
   }
-  FactorStats stats;
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
   AbftOptions aopts;
   aopts.tolerance = options_.abft_tolerance;
   if (options_.inject_sdc.has_value() &&
       options_.inject_sdc->site != SdcSite::kStoredFactor) {
     aopts.inject = &*options_.inject_sdc;
   }
-  Status status;
-  try {
-    factor_.emplace(multifrontal_factor_abft(*sym_, &stats,
-                                             options_.factor_kind, pivot,
-                                             aopts, &factor_checksums_,
-                                             arm_cancel_scope()));
-    status = Status::success(stats.pivot_perturbations);
-  } catch (const StatusError& e) {
-    cancel_source_ = CancelSource();
-    // Historical contract: a pivot breakdown still throws; corruption,
-    // cancellation and deadlines come back as diagnosed Status values.
-    if (e.status().code == StatusCode::kBreakdown) throw;
-    factor_checksums_ = FactorChecksums{};
-    return e.status();
-  }
-  cancel_source_ = CancelSource();
-  report_.factor_seconds = stats.seconds;
-  report_.peak_update_bytes = stats.peak_update_bytes;
-  report_.pivot_perturbations = stats.pivot_perturbations;
-  report_.abft_checks = stats.abft_checks;
-  report_.abft_detections = stats.abft_detections;
-  report_.fronts_recomputed = stats.fronts_recomputed;
-  report_.corruption_detected = stats.abft_detections > 0;
-  report_.admission = Admission::kUnlimited;
-  build_solve_schedule();
-  return status;
+  factor_.emplace(multifrontal_factor_abft(
+      *sym_, &call.stats, options_.factor_kind, call.pivot, aopts,
+      &factor_checksums_, call.cancel));
+  return Status::success(call.stats.pivot_perturbations);
 }
 
 Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
@@ -625,25 +557,16 @@ Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
   } catch (const StatusError& e) {
     return e.status();  // Status-returning entry point: no throw on bad input
   }
-  // A governed run (budget/deadline) takes the factorize() ladder — the
-  // fused graph has no admission control — and the serial path has no
-  // fusion to offer either way.
+  // The fused graph is the task-DAG engine plus solve tasks: the serial
+  // path has no fusion to offer, and the admission ladder, ABFT and fault
+  // injection have engines of their own.
   if (options_.threads <= 1 || options_.memory_budget_bytes > 0 ||
-      options_.deadline_seconds > 0.0) {
+      options_.abft || options_.inject_sdc.has_value()) {
     const Status status = factorize();
     if (status.failed()) return status;
     x = solve_multi(b, nrhs);
     return status;
   }
-
-  FactorStats stats;
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
-  // Stale at-rest checksums from a previous ABFT factorize() must not judge
-  // the new factor.
-  factor_checksums_ = FactorChecksums{};
-  build_solve_schedule();
 
   // Permute into the postordered space, run the fused graph (factor tasks +
   // first-block forward-solve tasks), permute the solutions back.
@@ -652,19 +575,21 @@ Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
     const std::size_t off = static_cast<std::size_t>(c) * n;
     for (index_t kk = 0; kk < n; ++kk) pb[off + kk] = b[off + total_perm_[kk]];
   }
-  factor_.emplace(multifrontal_factor_and_solve(
-      *sym_, MatrixView{pb.data(), n, nrhs, n}, *solve_schedule_,
-      solve_workspace_, *solve_pool(), &stats, options_.factor_kind,
-      kCoopFrontFlops, pivot));
+  const Status status = run_numeric([&](NumericCall& call) {
+    ensure_solve_schedule();
+    factor_.emplace(multifrontal_factor_and_solve(
+        *sym_, MatrixView{pb.data(), n, nrhs, n}, *solve_schedule_,
+        solve_workspace_, *pool(), &call.stats, options_.factor_kind,
+        kCoopFrontFlops, call.pivot, call.cancel));
+    return Status::success(call.stats.pivot_perturbations);
+  });
+  if (status.failed()) return status;
   x.resize(b.size());
   for (index_t c = 0; c < nrhs; ++c) {
     const std::size_t off = static_cast<std::size_t>(c) * n;
     for (index_t kk = 0; kk < n; ++kk) x[off + total_perm_[kk]] = pb[off + kk];
   }
-  report_.factor_seconds = stats.seconds;
-  report_.peak_update_bytes = stats.peak_update_bytes;
-  report_.pivot_perturbations = stats.pivot_perturbations;
-  return Status::success(stats.pivot_perturbations);
+  return status;
 }
 
 Status Solver::factorize_distributed(int n_ranks,
@@ -673,54 +598,48 @@ Status Solver::factorize_distributed(int n_ranks,
   PARFACT_CHECK_MSG(sym_.has_value(),
                     "factorize_distributed() before analyze()");
   PARFACT_CHECK(n_ranks >= 1);
-  WallTimer timer;
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
-  const FrontMap map =
-      build_front_map(*sym_, n_ranks, MappingStrategy::kSubtree2d);
-  // A Solver deadline doubles as the simulator's wall-clock watchdog: a
-  // livelocked run comes back as kCommTimeout instead of hanging the host.
-  mpsim::FaultPlan governed_faults = faults;
-  if (options_.deadline_seconds > 0.0 &&
-      governed_faults.run_timeout_host_seconds <= 0.0) {
-    governed_faults.run_timeout_host_seconds = options_.deadline_seconds;
-  }
-  DistFactorResult result = distributed_factor_checked(
-      *sym_, map, model, options_.factor_kind, pivot, governed_faults,
-      options_.resilience);
-  report_.rank_failures_recovered = result.run.ranks_recovered;
-  report_.recovery_virtual_seconds = result.run.recovery_overhead_seconds;
-  report_.comm_idle_wait_seconds = result.run.idle_wait_seconds;
-  report_.comm_overlap_efficiency = result.run.overlap_efficiency;
-  report_.max_in_flight_messages = result.run.max_in_flight_messages;
-  report_.comm_wait_any_calls = 0;
-  for (const count_t c : result.run.wait_any_calls) {
-    report_.comm_wait_any_calls += c;
-  }
-  report_.comm_messages_out_of_order =
-      result.run.messages_completed_out_of_order;
-  // The distributed factor carries no at-rest checksums; drop any armed by
-  // a previous ABFT factorize() so verify_and_repair falls back to the full
-  // recompute when asked to heal this factor.
-  factor_checksums_ = FactorChecksums{};
-  if (result.status.failed()) {
-    factor_.reset();
-    solve_schedule_.reset();
+  return run_numeric([&](NumericCall& call) {
+    WallTimer timer;
+    const FrontMap map =
+        build_front_map(*sym_, n_ranks, MappingStrategy::kSubtree2d);
+    // A Solver deadline doubles as the simulator's wall-clock watchdog: a
+    // livelocked run comes back as kCommTimeout instead of hanging the
+    // host.
+    mpsim::FaultPlan governed_faults = faults;
+    if (options_.deadline_seconds > 0.0 &&
+        governed_faults.run_timeout_host_seconds <= 0.0) {
+      governed_faults.run_timeout_host_seconds = options_.deadline_seconds;
+    }
+    DistFactorResult result = distributed_factor_checked(
+        *sym_, map, model, options_.factor_kind, call.pivot, governed_faults,
+        options_.resilience);
+    report_.rank_failures_recovered = result.run.ranks_recovered;
+    report_.recovery_virtual_seconds = result.run.recovery_overhead_seconds;
+    report_.comm_idle_wait_seconds = result.run.idle_wait_seconds;
+    report_.comm_overlap_efficiency = result.run.overlap_efficiency;
+    report_.max_in_flight_messages = result.run.max_in_flight_messages;
+    report_.comm_wait_any_calls = 0;
+    for (const count_t c : result.run.wait_any_calls) {
+      report_.comm_wait_any_calls += c;
+    }
+    report_.comm_messages_out_of_order =
+        result.run.messages_completed_out_of_order;
+    if (result.status.ok()) {
+      // The distributed factor carries no at-rest checksums, so
+      // verify_and_repair falls back to the full recompute to heal it.
+      factor_.emplace(std::move(result.factor));
+      call.stats.seconds = timer.seconds();
+      call.stats.pivot_perturbations = result.status.perturbations;
+    }
     return result.status;
-  }
-  factor_.emplace(std::move(result.factor));
-  build_solve_schedule();
-  report_.factor_seconds = timer.seconds();
-  report_.pivot_perturbations = result.status.perturbations;
-  return result.status;
+  });
 }
 
 void Solver::solve_postordered(MatrixView x) const {
   if (factor_.has_value()) {
     PARFACT_CHECK(solve_schedule_ != nullptr);
     solve_in_place(*factor_, x, *solve_schedule_, solve_workspace_,
-                   solve_pool());
+                   pool());
   } else {
     ooc_solve_in_place(*ooc_factor_, x);
   }
@@ -788,9 +707,7 @@ void Solver::verify_and_repair(std::span<const real_t> b, index_t nrhs,
   // whole factor is recomputed from the kept matrix. Either way the
   // repaired factor is bitwise identical to a clean run, and a result is
   // only returned once it verifies.
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
+  const PivotPolicy pivot = pivot_policy();
   for (int attempt = 0; attempt < 2 && factor_.has_value(); ++attempt) {
     bool localized = false;
     if (!factor_checksums_.empty()) {
@@ -857,7 +774,7 @@ std::vector<real_t> Solver::solve_batch(std::span<const real_t> b,
         factor_.has_value()
             ? refine_block(sym_->a, *factor_,
                            ConstMatrixView{prhs.data(), n, nrhs, n}, xv,
-                           *solve_schedule_, solve_workspace_, solve_pool(),
+                           *solve_schedule_, solve_workspace_, pool(),
                            options_.batch_refinement_passes)
             : ooc_refine_block(sym_->a, *ooc_factor_,
                                ConstMatrixView{prhs.data(), n, nrhs, n}, xv,
@@ -909,7 +826,7 @@ std::vector<real_t> Solver::solve_refined(std::span<const real_t> b) const {
   solve_postordered(MatrixView{px.data(), n, 1, n});
   if (factor_.has_value()) {
     (void)iterative_refinement(sym_->a, *factor_, pb, px, *solve_schedule_,
-                               solve_workspace_, solve_pool(),
+                               solve_workspace_, pool(),
                                options_.refinement_steps);
   } else {
     (void)ooc_refine_block(sym_->a, *ooc_factor_,

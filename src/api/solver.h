@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -48,16 +49,12 @@ struct SolverOptions {
   /// Cholesky for SPD input; LDLᵀ (no pivoting) for symmetric
   /// quasi-definite input such as KKT saddle-point systems.
   FactorKind factor_kind = FactorKind::kCholesky;
-  /// Parallel factorization engine (threads > 1). The task-DAG runtime is
-  /// the default; the static two-phase engine is kept for benchmarking the
-  /// schedules against each other. Both are bitwise identical to serial.
-  enum class FactorEngine { kTaskDag, kTwoPhase };
-  FactorEngine factor_engine = FactorEngine::kTaskDag;
   /// Static pivoting: tiny/non-positive pivots are boosted to
   /// sqrt(eps)·max|A| (sign-preserving for LDLᵀ) instead of aborting the
   /// factorization. The perturbation count is surfaced in the report and
   /// the factorize() Status; accuracy is recovered by refinement or the
-  /// solve_robust() escalation. Set false to restore throw-on-breakdown.
+  /// solve_robust() escalation. Set false to stop at the first bad pivot:
+  /// the numeric call then returns kBreakdown naming the failed supernode.
   bool static_pivoting = true;
   real_t pivot_threshold = 0.0;   ///< boost threshold; 0 = sqrt(eps)·max|A|
   real_t target_residual = 1e-10; ///< solve_robust() acceptance residual
@@ -123,10 +120,11 @@ struct SolverOptions {
   /// and symbolic analysis; misses populate the cache. Must outlive the
   /// Solver. nullptr (default) keeps analyze() fully cold.
   SymbolicCache* symbolic_cache = nullptr;
-  /// Externally owned worker pool used (when threads > 1) instead of a pool
-  /// created per factorize/refactorize call. Lets many solvers — e.g. the
-  /// sessions of one SolverService — share workers. Must outlive the
-  /// Solver; do not call solver methods from this pool's own worker threads.
+  /// Externally owned worker pool used (when threads > 1) instead of the
+  /// pool the Solver otherwise creates on first use. Lets many solvers —
+  /// e.g. the sessions of one SolverService — share workers. Must outlive
+  /// the Solver; do not call solver methods from this pool's own worker
+  /// threads.
   ThreadPool* shared_pool = nullptr;
 };
 
@@ -227,17 +225,17 @@ class Solver {
 
   /// Numeric phase; requires analyze() first. With options.static_pivoting
   /// (the default) breakdown pivots are boosted and reported through the
-  /// returned Status (kOk, or kPerturbed with the perturbation count)
-  /// instead of throwing; with static_pivoting=false a non-SPD/-factorizable
-  /// matrix throws parfact::Error as before.
+  /// returned Status (kOk, or kPerturbed with the perturbation count); with
+  /// static_pivoting=false a non-SPD/-factorizable matrix returns
+  /// kBreakdown carrying the failed supernode.
   ///
   /// Runs under options.memory_budget_bytes / deadline_seconds when set:
   /// the returned Status is then also how kResourceExhausted, kCancelled
   /// and kDeadlineExceeded are reported (report().admission records which
-  /// rung of the degradation ladder ran). After any such failure the same
+  /// rung of the degradation ladder ran). After any failure the same
   /// Solver instance is immediately reusable — a subsequent unconstrained
   /// factorize() produces a factor bitwise identical to an uninterrupted
-  /// run.
+  /// run. Calling it before analyze() is misuse and throws.
   Status factorize();
 
   /// Numeric-only re-factorization: installs `new_values` (same length and
@@ -302,9 +300,10 @@ class Solver {
   /// on fully factored subtrees overlap the remaining factorization, so
   /// there is no factor→solve barrier. `x` receives the solutions in the
   /// caller's original ordering. Results (factor and solutions) are
-  /// bitwise identical to factorize() followed by solve_multi(b, nrhs).
-  /// Requires analyze(). With threads <= 1 this degrades gracefully to the
-  /// serial factorize-then-solve pipeline.
+  /// bitwise identical to factorize() followed by solve_multi(b, nrhs), and
+  /// failures (breakdown, cancellation, deadline) come back as the Status.
+  /// Requires analyze(). With threads <= 1, a memory budget, ABFT or fault
+  /// injection it runs factorize() then solve_multi() instead.
   Status factorize_and_solve(std::span<const real_t> b, index_t nrhs,
                              std::vector<real_t>& x);
 
@@ -364,10 +363,13 @@ class Solver {
   [[nodiscard]] real_t condition_estimate() const;
 
  private:
-  /// Lazily created solve pool (options.threads > 1); the solve schedule
-  /// is built once per factorize() and reused by every solve.
-  [[nodiscard]] ThreadPool* solve_pool() const;
-  void build_solve_schedule();
+  /// The worker pool of every parallel phase (ordering, factorization,
+  /// solves): options.shared_pool, or one created on first use; nullptr
+  /// when options.threads <= 1.
+  [[nodiscard]] ThreadPool* pool() const;
+  /// Builds the solve schedule unless it exists. It depends only on the
+  /// analysis, so analyze() drops it and every in-core factor reuses it.
+  void ensure_solve_schedule();
   /// Digest of every option that affects the symbolic result (ordering kind
   /// and knobs, amalgamation, parallel-ND engine choice) — the PatternKey
   /// config component.
@@ -376,12 +378,30 @@ class Solver {
   void build_value_map(const SparseMatrix& lower);
   /// Arms the per-call cancellation scope (deadline) and returns its token.
   [[nodiscard]] CancelToken arm_cancel_scope();
+  /// options.static_pivoting / pivot_threshold as a PivotPolicy.
+  [[nodiscard]] PivotPolicy pivot_policy() const;
+  /// What run_numeric() hands a numeric engine, and what it reads back.
+  struct NumericCall {
+    PivotPolicy pivot;
+    CancelToken cancel;
+    FactorStats stats;  ///< filled by the engine, copied into report()
+  };
+  /// The one numeric path behind factorize(), refactorize(),
+  /// factorize_and_solve() and factorize_distributed(): drops the previous
+  /// factor (in-core or spilled), its reservation, checksums and ABFT /
+  /// verify report fields; arms the cancel scope; runs `engine`, which
+  /// installs the new factor on success; re-arms the scope; copies the
+  /// engine's FactorStats into the report; and returns every StatusError
+  /// the engine throws as the Status. A failed call leaves no factor.
+  Status run_numeric(const std::function<Status(NumericCall&)>& engine);
+  /// factorize() engine without ABFT: the governed admission ladder.
+  Status factorize_governed(NumericCall& call);
   /// x := A⁻¹ x on the postordered block, dispatching in-core vs spilled.
   void solve_postordered(MatrixView x) const;
   [[nodiscard]] std::string spill_path() const;
   void check_rhs(std::size_t b_size, index_t nrhs, const char* fn) const;
-  /// ABFT factorize() path (options.abft): checksum-carrying serial engine.
-  Status factorize_abft();
+  /// factorize() engine with options.abft: checksum-carrying serial engine.
+  Status factorize_abft(NumericCall& call);
   /// Permute → triangular sweeps → permute back (solve_multi's core).
   [[nodiscard]] std::vector<real_t> solve_permuted(std::span<const real_t> b,
                                                    index_t nrhs) const;
@@ -405,12 +425,12 @@ class Solver {
   /// makes cache-hit analyze and refactorize bitwise-exact.
   std::vector<index_t> value_map_;
   /// The adopted cache entry (hit or freshly inserted miss); retained so
-  /// build_solve_schedule() can copy the precomputed schedule.
+  /// ensure_solve_schedule() can copy the precomputed schedule.
   std::shared_ptr<const CachedAnalysis> cached_;
   SparseMatrix original_lower_;      ///< kept for residuals/refinement
   std::unique_ptr<SolveSchedule> solve_schedule_;
   mutable SolveWorkspace solve_workspace_;
-  mutable std::unique_ptr<ThreadPool> solve_pool_;
+  mutable std::unique_ptr<ThreadPool> pool_;
   /// Governance state. The budget must outlive the reservation charged
   /// against it (declaration order ⇒ reverse destruction order).
   std::unique_ptr<ResourceBudget> budget_;

@@ -7,7 +7,6 @@
 #include "dense/microkernel.h"
 #include "support/error.h"
 #include "support/prng.h"
-#include "support/thread_pool.h"
 #include "support/timer.h"
 
 namespace parfact {
@@ -32,12 +31,6 @@ constexpr index_t kTrsmBlock = 64;
 /// Deliberately independent of m so that splitting C's rows across threads
 /// never changes which path an element takes.
 constexpr count_t kEngineMinWork = 1024;
-
-/// Minimum flops in one level-3 call before it is split across a pool.
-constexpr count_t kParallelMinFlops = 4'000'000;
-
-/// Minimum C rows per parallel slab.
-constexpr index_t kSlabMinRows = 64;
 
 bool use_engine(index_t n_logical, index_t k) {
   return static_cast<count_t>(n_logical) * k >= kEngineMinWork;
@@ -148,17 +141,6 @@ void syrk_lower_small(MatrixView c, ConstMatrixView a) {
   }
 }
 
-/// Number of row slabs for a pool-parallel level-3 call, or 1 for the
-/// serial path.
-index_t slab_count(count_t flops, index_t rows, const ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1) return 1;
-  if (flops < kParallelMinFlops) return 1;
-  const index_t by_rows = rows / kSlabMinRows;
-  const index_t by_pool = 4 * static_cast<index_t>(pool->size());
-  const auto by_flops = static_cast<index_t>(flops / kParallelMinFlops) + 1;
-  return std::max<index_t>(1, std::min({by_rows, by_pool, by_flops}));
-}
-
 }  // namespace
 
 index_t ldlt_lower(MatrixView a, std::span<real_t> d, PivotBoost* boost) {
@@ -213,25 +195,6 @@ void trsm_right_lower_trans(ConstMatrixView l, MatrixView b) {
     }
     trsm_right_lower_trans_unblocked(l.block(j0, j0, jb, jb), bj);
   }
-}
-
-void trsm_right_lower_trans(ConstMatrixView l, MatrixView b,
-                            ThreadPool* pool) {
-  const count_t flops =
-      static_cast<count_t>(b.rows) * l.rows * (l.rows + 1);
-  const index_t slabs = slab_count(flops, b.rows, pool);
-  if (slabs <= 1) {
-    trsm_right_lower_trans(l, b);
-    return;
-  }
-  // Rows of X Lᵀ = B are independent; each slab runs the full serial solve
-  // on its rows, so the result is bitwise identical to the serial call.
-  const index_t m = b.rows;
-  parallel_for(*pool, 0, slabs, [&](index_t t) {
-    const index_t r0 = t * m / slabs;
-    const index_t r1 = (t + 1) * m / slabs;
-    if (r0 < r1) trsm_right_lower_trans(l, b.block(r0, 0, r1 - r0, b.cols));
-  });
 }
 
 namespace {
@@ -350,22 +313,6 @@ void syrk_lower_update_slab(MatrixView c, ConstMatrixView a, index_t r0,
                             a.block(r0, 0, len, kk));
 }
 
-void syrk_lower_update(MatrixView c, ConstMatrixView a, ThreadPool* pool) {
-  PARFACT_CHECK(c.rows == c.cols && c.rows == a.rows);
-  const index_t n = c.rows;
-  const index_t kk = a.cols;
-  const count_t flops = static_cast<count_t>(n) * n * kk;
-  const index_t slabs = slab_count(flops, n, pool);
-  if (slabs <= 1 || !syrk_splittable(n, kk)) {
-    syrk_lower_update(c, a);
-    return;
-  }
-  const std::vector<index_t> bound = syrk_slab_bounds(n, slabs);
-  parallel_for(*pool, 0, slabs, [&](index_t t) {
-    syrk_lower_update_slab(c, a, bound[t], bound[t + 1]);
-  });
-}
-
 void gemm_nt_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
   PARFACT_CHECK(c.rows == a.rows && c.cols == b.rows && a.cols == b.cols);
   if (use_engine(c.cols, a.cols)) {
@@ -373,27 +320,6 @@ void gemm_nt_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
   } else {
     gemm_nt_small(c, a, b);
   }
-}
-
-void gemm_nt_update(MatrixView c, ConstMatrixView a, ConstMatrixView b,
-                    ThreadPool* pool) {
-  PARFACT_CHECK(c.rows == a.rows && c.cols == b.rows && a.cols == b.cols);
-  const count_t flops =
-      2 * static_cast<count_t>(c.rows) * c.cols * a.cols;
-  const index_t slabs = slab_count(flops, c.rows, pool);
-  if (slabs <= 1) {
-    gemm_nt_update(c, a, b);
-    return;
-  }
-  const index_t m = c.rows;
-  parallel_for(*pool, 0, slabs, [&](index_t t) {
-    const index_t r0 = t * m / slabs;
-    const index_t r1 = (t + 1) * m / slabs;
-    if (r0 < r1) {
-      gemm_nt_update(c.block(r0, 0, r1 - r0, c.cols),
-                     a.block(r0, 0, r1 - r0, a.cols), b);
-    }
-  });
 }
 
 void gemm_nn_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {

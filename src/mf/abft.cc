@@ -604,7 +604,7 @@ class AbftEngine {
       ConstMatrixView m{};
       if (b > 0) {
         l21 = panel.block(p, 0, b, p);
-        trsm_right_lower_trans(l11, l21, nullptr);
+        trsm_right_lower_trans(l11, l21);
         m = l21;
         if (kind_ == FactorKind::kLdlt) {
           detail::ldlt_scale_panel(l21, d_, first, mstore_);
@@ -613,9 +613,9 @@ class AbftEngine {
         maybe_inject(SdcSite::kTrsm, s, panel, update);
 
         if (kind_ == FactorKind::kCholesky) {
-          syrk_lower_update(update, l21, nullptr);
+          syrk_lower_update(update, l21);
         } else {
-          gemm_nt_update(update, l21, m, nullptr);
+          gemm_nt_update(update, l21, m);
         }
         maybe_inject(SdcSite::kUpdate, s, panel, update);
       }
@@ -779,8 +779,7 @@ count_t recompute_subtree(const SymbolicFactor& sym, index_t root,
     MatrixView panel = factor.panel(t);
     panel.fill(0.0);
     (void)detail::eliminate_front(sym, t, update_of, children, panel,
-                                  update_of[t], scratch, kind, d, nullptr,
-                                  pivot);
+                                  update_of[t], scratch, kind, d, pivot);
     for (const index_t c : children[t]) update_of[c] = {};
   }
 

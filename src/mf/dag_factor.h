@@ -4,7 +4,7 @@
 // either a single fused ELIM task (small fronts — the vast majority, where
 // task overhead would swamp the kernel) or an ASSEMBLE → POTRF → TRSM-slab*
 // → [LDLᵀ PREP] → UPDATE-slab* pipeline (large fronts near the root, where
-// the two-phase engine's phase barrier serialized progress). The graph runs
+// tree parallelism has run out). The graph runs
 // under the work-stealing scheduler with critical-path priorities derived
 // from per-task flop costs, so the root chain is never starved.
 //

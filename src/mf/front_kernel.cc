@@ -198,8 +198,7 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
                         const std::vector<std::vector<index_t>>& children,
                         MatrixView panel, std::vector<real_t>& update_out,
                         FrontScratch& scratch, FactorKind kind,
-                        std::span<real_t> d, ThreadPool* pool,
-                        const PivotPolicy& pivot) {
+                        std::span<real_t> d, const PivotPolicy& pivot) {
   assemble_front(sym, s, update_of, children, panel, update_out, scratch);
   const count_t boosted = factor_front_diag(sym, s, panel, kind, d, pivot);
 
@@ -210,15 +209,15 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
     MatrixView l11 = panel.block(0, 0, p, p);
     MatrixView l21 = panel.block(p, 0, b, p);
     // now holds M = A21 L11^-T = L21 D
-    trsm_right_lower_trans(l11, l21, pool);
+    trsm_right_lower_trans(l11, l21);
     if (kind == FactorKind::kCholesky) {
-      syrk_lower_update(update, l21, pool);
+      syrk_lower_update(update, l21);
     } else {
       // Keep M, rescale the stored panel to L21 = M D^-1, and subtract
       // L21 Mᵀ = L21 D L21ᵀ from the Schur complement.
       std::vector<real_t> m;
       ldlt_scale_panel(l21, d, sym.sn_start[s], m);
-      gemm_nt_update(update, l21, ConstMatrixView{m.data(), b, p, b}, pool);
+      gemm_nt_update(update, l21, ConstMatrixView{m.data(), b, p, b});
     }
   }
 

@@ -76,20 +76,12 @@ void ldlt_scale_panel(MatrixView l21, std::span<const real_t> d,
 /// blocks are consumed (extend-add) but not freed here. In LDLᵀ mode `d`
 /// receives diag(D) for this supernode's columns and the panel holds the
 /// unit-diagonal L. Breakdown behaviour is factor_front_diag's.
-///
-/// When `pool` is non-null the TRSM and trailing SYRK/GEMM split their row
-/// range across the pool's workers (intra-front parallelism for the large
-/// fronts near the root, where tree parallelism has run out). The parallel
-/// kernels are bitwise identical to the serial ones, so the factor does not
-/// depend on the pool. The caller must not invoke this from inside a task
-/// running on the same pool (the row-split barrier would deadlock).
 count_t eliminate_front(const SymbolicFactor& sym, index_t s,
                         const std::vector<std::vector<real_t>>& update_of,
                         const std::vector<std::vector<index_t>>& children,
                         MatrixView panel, std::vector<real_t>& update_out,
                         FrontScratch& scratch, FactorKind kind,
-                        std::span<real_t> d, ThreadPool* pool = nullptr,
-                        const PivotPolicy& pivot = {});
+                        std::span<real_t> d, const PivotPolicy& pivot = {});
 
 /// Child lists of the assembly tree.
 [[nodiscard]] std::vector<std::vector<index_t>> build_children(

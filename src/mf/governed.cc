@@ -62,10 +62,9 @@ GovernedFactorizeResult multifrontal_factorize_governed(
       result.bytes_spilled =
           static_cast<std::size_t>(result.ooc->bytes_on_disk());
     } else if (want_parallel) {
-      auto* engine = opts.two_phase ? multifrontal_factor_two_phase
-                                    : multifrontal_factor_parallel;
-      result.factor.emplace(engine(sym, *opts.pool, &result.stats, opts.kind,
-                                   kCoopFrontFlops, opts.pivot, opts.cancel));
+      result.factor.emplace(multifrontal_factor_parallel(
+          sym, *opts.pool, &result.stats, opts.kind, kCoopFrontFlops,
+          opts.pivot, opts.cancel));
     } else {
       result.factor.emplace(multifrontal_factor(
           sym, &result.stats, opts.kind, opts.pivot, opts.cancel));

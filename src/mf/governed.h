@@ -47,11 +47,9 @@ struct GovernedOptions {
   FactorKind kind = FactorKind::kCholesky;
   PivotPolicy pivot = {.boost = true};
   /// Engine for the unconstrained path (ignored once a limited budget
-  /// forces the serial schedule). nullptr or size 1 = serial.
+  /// forces the serial schedule): the task-DAG engine on this pool, or the
+  /// serial engine when nullptr or size 1.
   ThreadPool* pool = nullptr;
-  /// Use the static two-phase engine instead of the task-DAG runtime on
-  /// the unconstrained parallel path.
-  bool two_phase = false;
   /// Scratch-file path for the spill rung; empty disables spilling (the
   /// ladder then goes straight from in-core to rejected).
   std::string spill_path;

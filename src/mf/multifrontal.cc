@@ -1,14 +1,10 @@
 #include "mf/multifrontal.h"
 
-#include <atomic>
-#include <span>
-#include <mutex>
-#include <vector>
-
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
-#include "dense/kernels.h"
 #include "mf/front_kernel.h"
 #include "mf/update_memory.h"
 #include "sparse/ops.h"
@@ -54,7 +50,7 @@ void multifrontal_refactor(const SymbolicFactor& sym, CholeskyFactor& factor,
     cancel.throw_if_cancelled();
     perturbations += detail::eliminate_front(
         sym, s, update_of, children, factor.panel(s), update_of[s], scratch,
-        kind, d, nullptr, pivot);
+        kind, d, pivot);
     mem.add(update_of[s].size() * sizeof(real_t));
     for (index_t c : children[s]) {
       mem.sub(update_of[c].size() * sizeof(real_t));
@@ -68,158 +64,6 @@ void multifrontal_refactor(const SymbolicFactor& sym, CholeskyFactor& factor,
     stats->peak_update_bytes = mem.peak();
     stats->pivot_perturbations = perturbations;
   }
-}
-
-CholeskyFactor multifrontal_factor_two_phase(const SymbolicFactor& sym,
-                                             ThreadPool& pool,
-                                             FactorStats* stats,
-                                             FactorKind kind,
-                                             count_t coop_flops,
-                                             PivotPolicy pivot,
-                                             CancelToken cancel) {
-  CholeskyFactor factor(sym);
-  multifrontal_refactor_two_phase(sym, factor, pool, stats, kind, coop_flops,
-                                  pivot, cancel);
-  return factor;
-}
-
-void multifrontal_refactor_two_phase(const SymbolicFactor& sym,
-                                     CholeskyFactor& factor, ThreadPool& pool,
-                                     FactorStats* stats, FactorKind kind,
-                                     count_t coop_flops, PivotPolicy pivot,
-                                     CancelToken cancel) {
-  PARFACT_CHECK(&factor.symbolic() == &sym);
-  WallTimer timer;
-  pivot = resolve_pivot_policy(pivot, sym.a);
-  std::atomic<count_t> perturbations{0};
-  factor.reset_values();
-  std::span<real_t> d;
-  if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
-  const auto children = detail::build_children(sym);
-  const index_t ns = sym.n_supernodes;
-  std::vector<std::vector<real_t>> update_of(static_cast<std::size_t>(ns));
-  detail::UpdateMemory mem;
-
-  // Partition the assembly tree, shared-memory analogue of the paper's
-  // subtree-to-subcube mapping: a supernode belongs to phase 1 (one task
-  // per supernode, pure tree parallelism) iff its whole subtree is made of
-  // fronts below the cooperative threshold. Everything else — the top of
-  // the tree, where the few remaining fronts hold most of the flops — is
-  // phase 2: processed in postorder by the calling thread with all workers
-  // cooperating inside each front's dense kernels. With one worker there is
-  // nothing to cooperate with, so the whole tree stays in phase 1.
-  std::vector<char> tasked(static_cast<std::size_t>(ns), 1);
-  if (pool.size() > 1) {
-    for (index_t s = 0; s < ns; ++s) {
-      bool light = sym.sn_flops[s] < coop_flops;
-      if (light) {
-        for (index_t c : children[s]) light = light && tasked[c];
-      }
-      tasked[s] = light ? 1 : 0;
-    }
-  }
-
-  // Pool of scratch maps, one handed to each running task.
-  std::mutex scratch_mu;
-  std::vector<std::unique_ptr<detail::FrontScratch>> scratch_pool;
-  auto acquire_scratch = [&]() -> std::unique_ptr<detail::FrontScratch> {
-    std::lock_guard<std::mutex> lock(scratch_mu);
-    if (scratch_pool.empty()) {
-      return std::make_unique<detail::FrontScratch>(sym.n);
-    }
-    auto s = std::move(scratch_pool.back());
-    scratch_pool.pop_back();
-    return s;
-  };
-  auto release_scratch = [&](std::unique_ptr<detail::FrontScratch> s) {
-    std::lock_guard<std::mutex> lock(scratch_mu);
-    scratch_pool.push_back(std::move(s));
-  };
-
-  auto finish_supernode = [&](index_t s) {
-    mem.add(update_of[s].size() * sizeof(real_t));
-    for (index_t c : children[s]) {
-      mem.sub(update_of[c].size() * sizeof(real_t));
-      update_of[c] = {};
-    }
-  };
-
-  // Phase 1 — dependency counting: a supernode becomes ready when all
-  // children are done; leaves are seeded directly. Propagation stops at the
-  // phase boundary.
-  std::vector<std::atomic<index_t>> pending(static_cast<std::size_t>(ns));
-  for (index_t s = 0; s < ns; ++s) {
-    pending[s].store(static_cast<index_t>(children[s].size()));
-  }
-  std::function<void(index_t)> run_supernode = [&](index_t s) {
-    // Per-task poll: a cancelled run stops spawning parents; the exception
-    // is captured by the pool and rethrown from wait() below.
-    cancel.throw_if_cancelled();
-    auto scratch = acquire_scratch();
-    const count_t boosted = detail::eliminate_front(
-        sym, s, update_of, children, factor.panel(s), update_of[s], *scratch,
-        kind, d, nullptr, pivot);
-    if (boosted > 0) {
-      perturbations.fetch_add(boosted, std::memory_order_relaxed);
-    }
-    release_scratch(std::move(scratch));
-    finish_supernode(s);
-    const index_t parent = sym.sn_parent[s];
-    if (parent != kNone && tasked[parent] &&
-        pending[parent].fetch_sub(1) == 1) {
-      pool.submit([&run_supernode, parent] { run_supernode(parent); });
-    }
-  };
-  for (index_t s = 0; s < ns; ++s) {
-    if (tasked[s] && children[s].empty()) {
-      pool.submit([&run_supernode, s] { run_supernode(s); });
-    }
-  }
-  pool.wait();
-
-  // Phase 2 — cooperative top of the tree: postorder on the calling thread
-  // (children of any remaining supernode are already done), every front's
-  // TRSM/SYRK/GEMM row-split across the pool.
-  detail::FrontScratch scratch(sym.n);
-  for (index_t s = 0; s < ns; ++s) {
-    if (tasked[s]) continue;
-    cancel.throw_if_cancelled();
-    perturbations.fetch_add(
-        detail::eliminate_front(sym, s, update_of, children, factor.panel(s),
-                                update_of[s], scratch, kind, d, &pool, pivot),
-        std::memory_order_relaxed);
-    finish_supernode(s);
-  }
-
-  if (stats != nullptr) {
-    stats->seconds = timer.seconds();
-    stats->flops = sym.total_flops;
-    stats->peak_update_bytes = mem.peak();
-    stats->pivot_perturbations =
-        perturbations.load(std::memory_order_relaxed);
-  }
-}
-
-FactorizeResult multifrontal_factorize(const SymbolicFactor& sym,
-                                       FactorKind kind, PivotPolicy pivot,
-                                       ThreadPool* pool, CancelToken cancel) {
-  FactorizeResult result;
-  try {
-    result.factor.emplace(pool != nullptr && pool->size() > 1
-                              ? multifrontal_factor_parallel(
-                                    sym, *pool, &result.stats, kind,
-                                    kCoopFrontFlops, pivot, cancel)
-                              : multifrontal_factor(sym, &result.stats, kind,
-                                                    pivot, cancel));
-    result.status = Status::success(result.stats.pivot_perturbations);
-  } catch (const StatusError& e) {
-    result.factor.reset();
-    result.status = e.status();
-  } catch (const Error& e) {
-    result.factor.reset();
-    result.status = Status::failure(StatusCode::kInternal, e.what());
-  }
-  return result;
 }
 
 }  // namespace parfact

@@ -8,11 +8,8 @@
 // independent, which is what every parallel variant exploits.
 #pragma once
 
-#include <optional>
-
 #include "mf/factor.h"
 #include "support/resource.h"
-#include "support/status.h"
 #include "support/thread_pool.h"
 #include "symbolic/symbolic_factor.h"
 
@@ -69,10 +66,10 @@ void multifrontal_refactor(const SymbolicFactor& sym, CholeskyFactor& factor,
                            FactorKind kind = FactorKind::kCholesky,
                            PivotPolicy pivot = {}, CancelToken cancel = {});
 
-/// A front whose factorization flops reach this threshold is executed
-/// cooperatively (all workers split its TRSM/SYRK/GEMM row ranges) instead
-/// of as a single supernode task. ~20 Mflop is a few milliseconds on the
-/// packed kernel engine — large enough that the row-split barrier cost
+/// A front whose factorization flops reach this threshold is emitted into
+/// the task DAG as an assemble → POTRF → TRSM-slab → update-slab pipeline
+/// instead of one fused elimination task. ~20 Mflop is a few milliseconds
+/// on the packed kernel engine — large enough that per-slab task overhead
 /// vanishes, small enough that the top of a 3-D assembly tree is covered.
 inline constexpr count_t kCoopFrontFlops = 20'000'000;
 
@@ -100,44 +97,5 @@ void multifrontal_refactor_parallel(const SymbolicFactor& sym,
                                     count_t coop_flops = kCoopFrontFlops,
                                     PivotPolicy pivot = {},
                                     CancelToken cancel = {});
-
-/// The pre-runtime static engine, kept as the task-DAG engine's benchmark
-/// baseline (bench_f10): maximal subtrees of "light" fronts (< `coop_flops`
-/// each) run as independent supernode tasks, then a barrier, then the
-/// remaining top-of-tree fronts are processed one at a time with every
-/// worker cooperating on the front's row range. Bitwise identical to
-/// multifrontal_factor as well.
-[[nodiscard]] CholeskyFactor multifrontal_factor_two_phase(
-    const SymbolicFactor& sym, ThreadPool& pool, FactorStats* stats = nullptr,
-    FactorKind kind = FactorKind::kCholesky,
-    count_t coop_flops = kCoopFrontFlops, PivotPolicy pivot = {},
-    CancelToken cancel = {});
-
-/// Two-phase counterpart of multifrontal_refactor (same contract).
-void multifrontal_refactor_two_phase(const SymbolicFactor& sym,
-                                     CholeskyFactor& factor, ThreadPool& pool,
-                                     FactorStats* stats = nullptr,
-                                     FactorKind kind = FactorKind::kCholesky,
-                                     count_t coop_flops = kCoopFrontFlops,
-                                     PivotPolicy pivot = {},
-                                     CancelToken cancel = {});
-
-/// Outcome of a checked factorization: on success (including a perturbed
-/// success) `factor` is engaged and `status` reports the perturbation
-/// count; on failure `factor` is empty and `status` diagnoses why.
-struct FactorizeResult {
-  std::optional<CholeskyFactor> factor;
-  FactorStats stats;
-  Status status;
-};
-
-/// Status-returning driver around multifrontal_factor /
-/// multifrontal_factor_parallel (chosen by `pool`). Static pivoting is ON
-/// by default here — this is the graceful-degradation entry point; callers
-/// wanting the strict throw-on-breakdown contract use the functions above.
-[[nodiscard]] FactorizeResult multifrontal_factorize(
-    const SymbolicFactor& sym, FactorKind kind = FactorKind::kCholesky,
-    PivotPolicy pivot = {.boost = true}, ThreadPool* pool = nullptr,
-    CancelToken cancel = {});
 
 }  // namespace parfact

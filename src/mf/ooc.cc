@@ -140,7 +140,7 @@ OocCholeskyFactor multifrontal_factor_ooc(const SymbolicFactor& sym,
     MatrixView panel{panel_buf.data(), f, p, f};
     perturbations += detail::eliminate_front(sym, s, update_of, children,
                                              panel, update_of[s], scratch,
-                                             kind, d, nullptr, pivot);
+                                             kind, d, pivot);
     factor.write_panel(s, panel);
     live += update_of[s].size() * sizeof(real_t);
     peak = std::max(peak, live + panel_buf.size() * sizeof(real_t));

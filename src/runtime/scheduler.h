@@ -37,8 +37,7 @@ struct SchedulerStats {
 /// Runs every task of `graph` (sealing it if needed) across `pool`'s
 /// workers plus the calling thread. Blocks until the graph is drained.
 /// Rethrows the first task exception; remaining tasks are abandoned (their
-/// side effects may be partial — callers treat the operation as failed,
-/// matching the two-phase engine's behaviour on breakdown).
+/// side effects may be partial — callers treat the operation as failed).
 ///
 /// Cooperative cancellation: workers poll `cancel` once per task, before
 /// running it. A tripped token stops the run within one task granule via

@@ -1,6 +1,7 @@
 #include "solve/fused.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "mf/dag_factor.h"
@@ -15,7 +16,8 @@ namespace parfact {
 CholeskyFactor multifrontal_factor_and_solve(
     const SymbolicFactor& sym, MatrixView x, const SolveSchedule& schedule,
     SolveWorkspace& workspace, ThreadPool& pool, FactorStats* stats,
-    FactorKind kind, count_t coop_flops, PivotPolicy pivot) {
+    FactorKind kind, count_t coop_flops, PivotPolicy pivot,
+    CancelToken cancel) {
   WallTimer timer;
   PARFACT_CHECK(x.rows == sym.n);
   PARFACT_CHECK_MSG(schedule.sym == &sym,
@@ -64,7 +66,7 @@ CholeskyFactor multifrontal_factor_and_solve(
     graph.declare_deps(tag, deps);
   }
 
-  rt::run_graph(graph, pool);
+  rt::run_graph(graph, pool, std::move(cancel));
 
   // Finish block 0 (diagonal + backward) and run any remaining blocks
   // through the normal engine — same partition, same sweeps.

@@ -30,13 +30,14 @@ namespace parfact {
 /// Factorizes sym.a and solves A x = x in place (x: n × nrhs postordered
 /// right-hand sides, overwritten with the solution), overlapping the first
 /// RHS block's forward sweep with the factorization. `schedule` must be
-/// built from `sym`. Throws like multifrontal_factor_parallel on breakdown
-/// (factor and x are then partial). Returns the factor for subsequent
-/// solves against more right-hand sides.
+/// built from `sym`. Throws like multifrontal_factor_parallel on breakdown,
+/// cancellation or a tripped deadline (x is then partial). Returns the
+/// factor for subsequent solves against more right-hand sides.
 [[nodiscard]] CholeskyFactor multifrontal_factor_and_solve(
     const SymbolicFactor& sym, MatrixView x, const SolveSchedule& schedule,
     SolveWorkspace& workspace, ThreadPool& pool, FactorStats* stats = nullptr,
     FactorKind kind = FactorKind::kCholesky,
-    count_t coop_flops = kCoopFrontFlops, PivotPolicy pivot = {});
+    count_t coop_flops = kCoopFrontFlops, PivotPolicy pivot = {},
+    CancelToken cancel = {});
 
 }  // namespace parfact

@@ -8,7 +8,6 @@
 #include "dense/kernels.h"
 #include "dense/matrix_view.h"
 #include "support/prng.h"
-#include "support/thread_pool.h"
 
 namespace parfact {
 namespace {
@@ -279,59 +278,32 @@ TEST(Trsm, EngineSizedRightLowerTransSolves) {
   }
 }
 
-// --- Pool variants: must be bitwise identical to the serial kernels ---------
+// --- Row slabs: must be bitwise identical to the one-call kernel -----------
 //
 // The engine's per-element summation order depends only on how k is cut
-// into KC blocks, never on how rows are split, so handing a pool to a
-// kernel must not change a single bit of the result.
+// into KC blocks, never on how rows are split, so the task-DAG update
+// tasks' row slabs must not change a single bit of the result.
 
-class PoolKernelTest : public ::testing::TestWithParam<int> {};
+class SyrkSlabTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(PoolKernelTest, GemmNtBitwiseEqualsSerial) {
-  ThreadPool pool(GetParam());
-  const index_t m = 300, n = 200, k = 160;
-  Dense cs = random_matrix(m, n, 61);
-  Dense cp = cs;
-  const Dense a = random_matrix(m, k, 62);
-  const Dense b = random_matrix(n, k, 63);
-  gemm_nt_update(cs.view(), a.cview(), b.cview());
-  gemm_nt_update(cp.view(), a.cview(), b.cview(), &pool);
-  for (std::size_t i = 0; i < cs.v.size(); ++i) {
-    ASSERT_EQ(cs.v[i], cp.v[i]) << "flat index " << i;
-  }
-}
-
-TEST_P(PoolKernelTest, SyrkBitwiseEqualsSerial) {
-  ThreadPool pool(GetParam());
+TEST_P(SyrkSlabTest, SlabsBitwiseEqualOneCall) {
   const index_t n = 280, k = 170;
+  ASSERT_TRUE(syrk_splittable(n, k));
   Dense cs = random_matrix(n, n, 64);
   Dense cp = cs;
   const Dense a = random_matrix(n, k, 65);
   syrk_lower_update(cs.view(), a.cview());
-  syrk_lower_update(cp.view(), a.cview(), &pool);
+  const std::vector<index_t> bound = syrk_slab_bounds(n, GetParam());
+  ASSERT_EQ(bound.size(), static_cast<std::size_t>(GetParam()) + 1);
+  for (index_t t = 0; t < GetParam(); ++t) {
+    syrk_lower_update_slab(cp.view(), a.cview(), bound[t], bound[t + 1]);
+  }
   for (std::size_t i = 0; i < cs.v.size(); ++i) {
     ASSERT_EQ(cs.v[i], cp.v[i]) << "flat index " << i;
   }
 }
 
-TEST_P(PoolKernelTest, TrsmBitwiseEqualsSerial) {
-  ThreadPool pool(GetParam());
-  const index_t n = 140, m = 400;
-  Dense l = random_matrix(n, n, 66);
-  for (index_t j = 0; j < n; ++j) {
-    l.at(j, j) = 2.0 + std::abs(l.at(j, j));
-    for (index_t i = 0; i < j; ++i) l.at(i, j) = 0.0;
-  }
-  Dense bs = random_matrix(m, n, 67);
-  Dense bp = bs;
-  trsm_right_lower_trans(l.cview(), bs.view());
-  trsm_right_lower_trans(l.cview(), bp.view(), &pool);
-  for (std::size_t i = 0; i < bs.v.size(); ++i) {
-    ASSERT_EQ(bs.v[i], bp.v[i]) << "flat index " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, PoolKernelTest, ::testing::Values(1, 2, 5));
+INSTANTIATE_TEST_SUITE_P(Slabs, SyrkSlabTest, ::testing::Values(1, 2, 5));
 
 TEST(Views, BlockIndexing) {
   Dense d = random_matrix(6, 5, 51);

@@ -74,11 +74,6 @@ void check_matrix(const SparseMatrix& lower, FactorKind kind,
                 serial_stats.pivot_perturbations);
       expect_bitwise_equal(sym, serial, dag, "task-DAG vs serial");
     }
-    FactorStats tp_stats;
-    const CholeskyFactor two_phase = multifrontal_factor_two_phase(
-        sym, pool, &tp_stats, kind, count_t{1000}, pivot);
-    EXPECT_EQ(tp_stats.pivot_perturbations, serial_stats.pivot_perturbations);
-    expect_bitwise_equal(sym, serial, two_phase, "two-phase vs serial");
   }
 }
 

@@ -154,7 +154,10 @@ TEST(SolverApi, CholeskyRejectsKkt) {
   const SparseMatrix a = saddle_point_kkt(30, 15, 3, 5);
   Solver solver;
   solver.analyze(a);
-  EXPECT_THROW(solver.factorize(), Error);
+  const Status st = solver.factorize();
+  EXPECT_EQ(st.code, StatusCode::kBreakdown) << st.to_string();
+  EXPECT_GE(st.failed_supernode, 0);
+  EXPECT_FALSE(solver.has_factor());
 }
 
 // --- Distributed LDLᵀ ----------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "dist/dist_factor.h"
 #include "dist/dist_solve.h"
 #include "dist/mapping.h"
+#include "mf/governed.h"
 #include "mf/multifrontal.h"
 #include "mf/ooc.h"
 #include "sparse/gen.h"
@@ -175,11 +176,15 @@ TEST(PivotBoost, IndefiniteMatrixRecoversWithBoost) {
 }
 
 // --- FactorizeResult / checked entry points -------------------------------
+// The governed driver with an unlimited budget is the checked entry point:
+// the requested engine plus budget metering.
 
 TEST(FactorizeResult, ReportsPerturbedStatus) {
   const SparseMatrix a = test_matrix(3, -1.0);
   const SymbolicFactor sym = analyze(a);
-  const FactorizeResult r = multifrontal_factorize(sym);
+  ResourceBudget unlimited;
+  const GovernedFactorizeResult r =
+      multifrontal_factorize_governed(sym, unlimited);
   ASSERT_TRUE(r.factor.has_value());
   EXPECT_TRUE(r.status.ok());
   EXPECT_EQ(r.status.code, StatusCode::kPerturbed);
@@ -189,9 +194,11 @@ TEST(FactorizeResult, ReportsPerturbedStatus) {
 TEST(FactorizeResult, BreakdownStatusCarriesSupernodeContext) {
   const SparseMatrix a = test_matrix(1, -1.0);
   const SymbolicFactor sym = analyze(a);
-  PivotPolicy off;  // boost disabled: breakdown must be diagnosed
-  const FactorizeResult r =
-      multifrontal_factorize(sym, FactorKind::kCholesky, off);
+  ResourceBudget unlimited;
+  GovernedOptions off;
+  off.pivot = {};  // boost disabled: breakdown must be diagnosed
+  const GovernedFactorizeResult r =
+      multifrontal_factorize_governed(sym, unlimited, off);
   EXPECT_FALSE(r.factor.has_value());
   EXPECT_TRUE(r.status.failed());
   EXPECT_EQ(r.status.code, StatusCode::kBreakdown);
@@ -206,15 +213,18 @@ TEST(FactorizeResult, PoolSurvivesParallelBreakdown) {
   const SparseMatrix bad = test_matrix(1, -1.0);
   const SymbolicFactor bad_sym = analyze(bad);
   ThreadPool pool(4);
-  PivotPolicy off;
-  const FactorizeResult failed = multifrontal_factorize(
-      bad_sym, FactorKind::kCholesky, off, &pool);
+  ResourceBudget unlimited;
+  GovernedOptions off;
+  off.pivot = {};
+  off.pool = &pool;
+  const GovernedFactorizeResult failed =
+      multifrontal_factorize_governed(bad_sym, unlimited, off);
   EXPECT_TRUE(failed.status.failed());
 
   const SparseMatrix good = grid_laplacian_2d(9, 9, 5);
   const SymbolicFactor good_sym = analyze(good);
-  const FactorizeResult ok = multifrontal_factorize(
-      good_sym, FactorKind::kCholesky, off, &pool);
+  const GovernedFactorizeResult ok =
+      multifrontal_factorize_governed(good_sym, unlimited, off);
   ASSERT_TRUE(ok.factor.has_value());
   EXPECT_TRUE(ok.status.ok());
   const CholeskyFactor serial = multifrontal_factor(good_sym);
@@ -263,12 +273,15 @@ TEST(SolverRobust, PerturbedFactorizationEscalatesToTarget) {
   EXPECT_EQ(r.status.perturbations, 3);
 }
 
-TEST(SolverRobust, StaticPivotingOffRestoresThrowingBehavior) {
+TEST(SolverRobust, StaticPivotingOffReturnsBreakdown) {
   SolverOptions options;
   options.static_pivoting = false;
   Solver solver(options);
   solver.analyze(test_matrix(1, -1.0));
-  EXPECT_THROW((void)solver.factorize(), Error);
+  const Status st = solver.factorize();
+  EXPECT_EQ(st.code, StatusCode::kBreakdown) << st.to_string();
+  EXPECT_GE(st.failed_supernode, 0);
+  EXPECT_FALSE(solver.has_factor());
 }
 
 // --- Distributed fault tolerance -------------------------------------------

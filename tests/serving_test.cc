@@ -175,7 +175,6 @@ INSTANTIATE_TEST_SUITE_P(SerialAndParallel, CachedAnalyzeTest,
 struct EngineCase {
   const char* name;
   int threads;
-  SolverOptions::FactorEngine engine;
 };
 
 class RefactorizeEngineTest : public ::testing::TestWithParam<EngineCase> {};
@@ -187,7 +186,6 @@ TEST_P(RefactorizeEngineTest, BitwiseIdenticalToColdFactorize) {
 
   SolverOptions opt;
   opt.threads = ec.threads;
-  opt.factor_engine = ec.engine;
 
   Solver solver(opt);
   solver.analyze(a);
@@ -207,10 +205,7 @@ TEST_P(RefactorizeEngineTest, BitwiseIdenticalToColdFactorize) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, RefactorizeEngineTest,
-    ::testing::Values(
-        EngineCase{"serial", 1, SolverOptions::FactorEngine::kTaskDag},
-        EngineCase{"taskdag", 4, SolverOptions::FactorEngine::kTaskDag},
-        EngineCase{"twophase", 4, SolverOptions::FactorEngine::kTwoPhase}),
+    ::testing::Values(EngineCase{"serial", 1}, EngineCase{"taskdag", 4}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return info.param.name;
     });
@@ -353,6 +348,83 @@ TEST(SpillFactorTest, RoundtripPreservesSolvesBitwise) {
   EXPECT_FALSE(solver.factor_spilled());
   EXPECT_EQ(solver.factor_bytes(), incore_bytes);
   EXPECT_EQ(solver.solve(b), x_incore);
+}
+
+// ---------------------------------------------------------------------------
+// factorize_and_solve: the fused entry shares every numeric call's
+// bookkeeping (stale-factor reset, cancel scope, Status-only failures)
+
+TEST(FactorizeAndSolveTest, ReplacesSpilledFactor) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  SolverOptions opt;
+  opt.threads = 2;
+  opt.spill_path = "serving_test_fused_spill.bin";
+  Solver solver(opt);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> x_ref = solver.solve(b);
+  ASSERT_TRUE(solver.spill_factor().ok());
+  ASSERT_TRUE(solver.factor_spilled());
+
+  std::vector<real_t> x;
+  const Status st = solver.factorize_and_solve(b, 1, x);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_FALSE(solver.factor_spilled());
+  EXPECT_EQ(x, x_ref);
+  EXPECT_EQ(solver.solve(b), x_ref);
+}
+
+TEST(FactorizeAndSolveTest, HonoursAndClearsCancel) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  SolverOptions opt;
+  opt.threads = 2;
+  Solver solver(opt);
+  solver.analyze(a);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+
+  solver.cancel();
+  std::vector<real_t> x;
+  const Status cancelled = solver.factorize_and_solve(b, 1, x);
+  EXPECT_EQ(cancelled.code, StatusCode::kCancelled) << cancelled.to_string();
+  EXPECT_FALSE(solver.has_factor());
+
+  // The cancel was consumed: the next call runs to completion.
+  const Status retry = solver.factorize();
+  EXPECT_TRUE(retry.ok()) << retry.to_string();
+}
+
+TEST(FactorizeAndSolveTest, KeepsAbftChecksWhenRequested) {
+  // The fused graph has no checksum stages: with options.abft the call
+  // must take the ABFT factorize() path instead of skipping the checks.
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  SolverOptions opt;
+  opt.threads = 2;
+  opt.abft = true;
+  Solver solver(opt);
+  solver.analyze(a);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  std::vector<real_t> x;
+  const Status st = solver.factorize_and_solve(b, 1, x);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_GT(solver.report().abft_checks, 0);
+  EXPECT_LT(solver.residual(x, b), 1e-12);
+}
+
+TEST(FactorizeAndSolveTest, BreakdownIsReturnedNotThrown) {
+  const SparseMatrix a = saddle_point_kkt(30, 15, 3, 5);
+  SolverOptions opt;
+  opt.threads = 2;
+  opt.static_pivoting = false;
+  Solver solver(opt);
+  solver.analyze(a);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  std::vector<real_t> x;
+  Status st;
+  EXPECT_NO_THROW(st = solver.factorize_and_solve(b, 1, x));
+  EXPECT_EQ(st.code, StatusCode::kBreakdown) << st.to_string();
+  EXPECT_GE(st.failed_supernode, 0);
+  EXPECT_FALSE(solver.has_factor());
 }
 
 // ---------------------------------------------------------------------------
