@@ -468,15 +468,15 @@ Status Solver::spill_factor() {
     return Status::failure(StatusCode::kInvalidInput,
                            "spill_factor(): no factor to spill");
   }
-  OocCholeskyFactor ooc(*sym_, spill_path());
-  for (index_t s = 0; s < sym_->n_supernodes; ++s) {
-    ooc.write_panel(s, factor_->panel(s));
+  try {
+    OocCholeskyFactor ooc(*sym_, spill_path());
+    ooc.write_factor(*factor_);
+    ooc_factor_.emplace(std::move(ooc));
+  } catch (const StatusError& e) {
+    // The scratch file could not be created or written: the in-core factor
+    // is untouched and stays in use.
+    return e.status();
   }
-  if (factor_->is_ldlt()) {
-    const std::span<const real_t> d = factor_->diag();
-    std::copy(d.begin(), d.end(), ooc.allocate_diag().begin());
-  }
-  ooc_factor_.emplace(std::move(ooc));
   factor_.reset();
   solve_schedule_.reset();
   reservation_.reset();
@@ -493,14 +493,8 @@ Status Solver::unspill_factor() {
                            "unspill_factor(): no spilled factor to load");
   }
   try {
-    CholeskyFactor factor(*sym_);
-    for (index_t s = 0; s < sym_->n_supernodes; ++s) {
-      ooc_factor_->read_panel(s, factor.panel(s));
-    }
-    if (ooc_factor_->is_ldlt()) {
-      const std::span<const real_t> d = ooc_factor_->diag();
-      std::copy(d.begin(), d.end(), factor.allocate_diag().begin());
-    }
+    CholeskyFactor factor(*sym_, CholeskyFactor::Uninitialized{});
+    ooc_factor_->read_factor(factor);
     factor_.emplace(std::move(factor));
   } catch (const StatusError& e) {
     // Checksum-verified read failed: keep the spilled state (still usable

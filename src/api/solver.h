@@ -256,6 +256,9 @@ class Solver {
   /// on disk, LDLᵀ diagonal resident), releasing the panel memory and any
   /// budget reservation. Solves keep working, streamed from disk. Used by
   /// SolverService to evict cold sessions; no-op Status if already spilled.
+  /// A scratch file that cannot be created or written returns
+  /// kResourceExhausted naming the path and leaves the in-core factor as it
+  /// was.
   Status spill_factor();
 
   /// Loads a spilled factor back in-core (checksum-verified panel reads;

@@ -6,7 +6,13 @@
 
 namespace parfact {
 
-CholeskyFactor::CholeskyFactor(const SymbolicFactor& sym) : sym_(&sym) {
+CholeskyFactor::CholeskyFactor(const SymbolicFactor& sym)
+    : CholeskyFactor(sym, Uninitialized{}) {
+  std::fill(values_.begin(), values_.end(), 0.0);
+}
+
+CholeskyFactor::CholeskyFactor(const SymbolicFactor& sym, Uninitialized)
+    : sym_(&sym) {
   offset_.resize(static_cast<std::size_t>(sym.n_supernodes) + 1);
   offset_[0] = 0;
   for (index_t s = 0; s < sym.n_supernodes; ++s) {
@@ -14,7 +20,7 @@ CholeskyFactor::CholeskyFactor(const SymbolicFactor& sym) : sym_(&sym) {
         static_cast<std::size_t>(sym.front_order(s)) * sym.sn_cols(s);
     offset_[s + 1] = offset_[s] + panel_size;
   }
-  values_.assign(offset_.back(), 0.0);
+  values_.resize(offset_.back());
 }
 
 MatrixView CholeskyFactor::panel(index_t s) {

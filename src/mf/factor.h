@@ -7,7 +7,9 @@
 // the layout the factorization writes and the triangular solves read.
 #pragma once
 
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dense/matrix_view.h"
@@ -16,16 +18,47 @@
 
 namespace parfact {
 
+namespace detail {
+
+/// Allocator whose value-less construct() default-initializes, so
+/// resize() on a vector of doubles allocates without zero-filling.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace detail
+
 class CholeskyFactor {
  public:
+  /// Tag for the constructor that skips zero-filling.
+  struct Uninitialized {};
+
   /// Allocates zeroed panels shaped by `sym`. `sym` must outlive this object.
   explicit CholeskyFactor(const SymbolicFactor& sym);
+  /// Allocates panels shaped by `sym` with unspecified values, for a caller
+  /// that overwrites every value before reading any (the OOC reload reads
+  /// the whole factor over them; zero-filling first would cost one more
+  /// pass over the factor's memory).
+  CholeskyFactor(const SymbolicFactor& sym, Uninitialized);
 
   [[nodiscard]] const SymbolicFactor& symbolic() const { return *sym_; }
 
   /// Mutable/const view of supernode s's panel.
   [[nodiscard]] MatrixView panel(index_t s);
   [[nodiscard]] ConstMatrixView panel(index_t s) const;
+
+  /// Every panel's values, concatenated in supernode order — the layout the
+  /// out-of-core scratch file mirrors, so a factor spills in one write.
+  [[nodiscard]] std::span<real_t> values() { return values_; }
+  [[nodiscard]] std::span<const real_t> values() const { return values_; }
 
   /// Zero-fills every panel (and D, if allocated) in place without touching
   /// the allocation. Restores the freshly-constructed state the numeric
@@ -55,7 +88,7 @@ class CholeskyFactor {
  private:
   std::vector<real_t> d_;
   const SymbolicFactor* sym_;
-  std::vector<real_t> values_;
+  std::vector<real_t, detail::DefaultInitAllocator<real_t>> values_;
   std::vector<std::size_t> offset_;  ///< per-supernode start in values_
 };
 

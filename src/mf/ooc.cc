@@ -13,20 +13,36 @@
 #include "support/status.h"
 #include "support/timer.h"
 
-// Panel writes are guarded by the shared support/checksum FNV-1a — cheap
-// relative to the fwrite it protects and order-sensitive, so any flipped,
-// duplicated or dropped byte changes the digest.
+// Scratch bytes are guarded by the shared support/checksum payload_digest:
+// word-parallel, so checksumming runs at memory bandwidth and costs less
+// than the write it protects, and any single-bit flip changes the digest.
 
 namespace parfact {
+
+namespace {
+
+[[noreturn]] void throw_corrupt_panel(index_t s, const std::string& path) {
+  std::ostringstream os;
+  os << "checksum mismatch reading panel of supernode " << s << " from "
+     << path << " (after one re-read retry)";
+  throw StatusError(
+      Status::failure(StatusCode::kDataCorruption, os.str(), s));
+}
+
+}  // namespace
 
 OocCholeskyFactor::OocCholeskyFactor(const SymbolicFactor& sym,
                                      std::string path)
     : sym_(&sym), path_(std::move(path)) {
   file_ = std::fopen(path_.c_str(), "wb+");
-  PARFACT_CHECK_MSG(file_ != nullptr, "cannot create scratch file " << path_);
-  // Unbuffered: panels are written/read whole, so stdio buffering buys
-  // nothing — and the read-back checksum must verify the bytes actually on
-  // disk, not a stale stdio cache that would mask external corruption.
+  if (file_ == nullptr) {
+    throw StatusError(Status::failure(StatusCode::kResourceExhausted,
+                                      "cannot create scratch file " + path_));
+  }
+  // Unbuffered: panels and whole factors are written/read in one call each,
+  // so stdio buffering buys nothing — and the read-back checksum must
+  // verify the bytes actually on disk, not a stale stdio cache that would
+  // mask external corruption.
   std::setvbuf(file_, nullptr, _IONBF, 0);
   offset_.resize(static_cast<std::size_t>(sym.n_supernodes) + 1);
   checksum_.assign(static_cast<std::size_t>(sym.n_supernodes), 0);
@@ -77,40 +93,78 @@ std::span<real_t> OocCholeskyFactor::allocate_diag() {
 
 count_t OocCholeskyFactor::bytes_on_disk() const { return offset_.back(); }
 
+void OocCholeskyFactor::write_at(count_t offset, const void* data,
+                                 std::size_t bytes) {
+  PARFACT_CHECK(std::fseek(file_, static_cast<long>(offset), SEEK_SET) == 0);
+  // Flush so the bytes are visible to external readers (and corruptible by
+  // external writers — which is exactly how the integrity tests exercise
+  // the read-back verification).
+  if (std::fwrite(data, 1, bytes, file_) != bytes ||
+      std::fflush(file_) != 0) {
+    throw StatusError(Status::failure(StatusCode::kResourceExhausted,
+                                      "short write to scratch file " + path_));
+  }
+}
+
 void OocCholeskyFactor::write_panel(index_t s, ConstMatrixView panel) {
   PARFACT_CHECK(panel.rows == sym_->front_order(s) &&
                 panel.cols == sym_->sn_cols(s) && panel.ld == panel.rows);
+  write_at(offset_[s], panel.data, panel_bytes(s));
+  checksum_[s] = payload_digest(panel.data, panel_bytes(s));
+}
+
+void OocCholeskyFactor::write_factor(const CholeskyFactor& factor) {
+  const std::span<const real_t> values = factor.values();
+  PARFACT_CHECK(factor.symbolic().n_supernodes == sym_->n_supernodes &&
+                static_cast<count_t>(values.size_bytes()) == offset_.back());
+  write_at(0, values.data(), values.size_bytes());
+  for (index_t s = 0; s < sym_->n_supernodes; ++s) {
+    checksum_[s] = payload_digest(values.data() + panel_start(s),
+                                  panel_bytes(s));
+  }
+  if (factor.is_ldlt()) {
+    const std::span<const real_t> d = factor.diag();
+    std::copy(d.begin(), d.end(), allocate_diag().begin());
+  }
+}
+
+bool OocCholeskyFactor::load_panel(index_t s, real_t* dst) const {
+  const std::size_t bytes = panel_bytes(s);
   PARFACT_CHECK(std::fseek(file_, static_cast<long>(offset_[s]), SEEK_SET) ==
                 0);
-  const std::size_t count =
-      static_cast<std::size_t>(panel.rows) * panel.cols;
-  PARFACT_CHECK_MSG(
-      std::fwrite(panel.data, sizeof(real_t), count, file_) == count,
-      "short write to " << path_);
-  // Flush so the panel is visible to external readers (and corruptible by
-  // external writers — which is exactly how the integrity tests exercise
-  // the read-back verification below).
-  PARFACT_CHECK(std::fflush(file_) == 0);
-  checksum_[s] = fnv1a(panel.data, count * sizeof(real_t));
+  return std::fread(dst, 1, bytes, file_) == bytes &&
+         payload_digest(dst, bytes) == checksum_[s];
 }
 
 void OocCholeskyFactor::read_panel(index_t s, MatrixView out) const {
   PARFACT_CHECK(out.rows == sym_->front_order(s) &&
                 out.cols == sym_->sn_cols(s) && out.ld == out.rows);
-  const std::size_t count = static_cast<std::size_t>(out.rows) * out.cols;
   // One silent retry covers a transient short/failed read; a checksum that
   // is still wrong after re-reading means the bytes on disk are damaged.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    PARFACT_CHECK(
-        std::fseek(file_, static_cast<long>(offset_[s]), SEEK_SET) == 0);
-    if (std::fread(out.data, sizeof(real_t), count, file_) != count) continue;
-    if (fnv1a(out.data, count * sizeof(real_t)) == checksum_[s]) return;
+  if (load_panel(s, out.data) || load_panel(s, out.data)) return;
+  throw_corrupt_panel(s, path_);
+}
+
+void OocCholeskyFactor::read_factor(CholeskyFactor& out) const {
+  const std::span<real_t> values = out.values();
+  PARFACT_CHECK(out.symbolic().n_supernodes == sym_->n_supernodes &&
+                static_cast<count_t>(values.size_bytes()) == offset_.back());
+  PARFACT_CHECK(std::fseek(file_, 0, SEEK_SET) == 0);
+  // The bulk read is every panel's first attempt: a short read leaves the
+  // (zeroed) tail panels failing their checksums, and each gets its one
+  // re-read.
+  const std::size_t got =
+      std::fread(values.data(), 1, values.size_bytes(), file_);
+  if (got < values.size_bytes()) {
+    std::memset(reinterpret_cast<unsigned char*>(values.data()) + got, 0,
+                values.size_bytes() - got);
   }
-  std::ostringstream os;
-  os << "checksum mismatch reading panel of supernode " << s << " from "
-     << path_ << " (after one re-read retry)";
-  throw StatusError(
-      Status::failure(StatusCode::kDataCorruption, os.str(), s));
+  for (index_t s = 0; s < sym_->n_supernodes; ++s) {
+    real_t* panel = values.data() + panel_start(s);
+    if (payload_digest(panel, panel_bytes(s)) == checksum_[s]) continue;
+    if (!load_panel(s, panel)) throw_corrupt_panel(s, path_);
+  }
+  if (is_ldlt()) std::copy(d_.begin(), d_.end(), out.allocate_diag().begin());
 }
 
 OocCholeskyFactor multifrontal_factor_ooc(const SymbolicFactor& sym,

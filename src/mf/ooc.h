@@ -24,14 +24,19 @@ namespace parfact {
 /// concatenated in supernode order). The scratch file is deleted on
 /// destruction.
 ///
-/// Integrity: every panel write records a 64-bit FNV-1a checksum in memory;
-/// every read-back verifies it, retrying the read once (transient I/O) and
-/// then throwing StatusError(kDataCorruption). The checksums live in memory
-/// rather than on disk because they guard the scratch file's round-trip
-/// within one process lifetime — the file does not outlive the object.
+/// Integrity: every panel write records a 64-bit `payload_digest` of the
+/// panel in memory; every read-back verifies it, re-reading that panel once
+/// (transient I/O) and then throwing StatusError(kDataCorruption) naming
+/// its supernode. The checksums live in memory rather than on disk because
+/// they guard the scratch file's round-trip within one process lifetime —
+/// the file does not outlive the object.
+///
+/// I/O failures (the scratch file cannot be created, a write comes up
+/// short) throw StatusError(kResourceExhausted) naming the path.
 class OocCholeskyFactor {
  public:
   /// Creates/truncates the scratch file. `sym` must outlive this object.
+  /// Throws StatusError(kResourceExhausted) if the file cannot be created.
   OocCholeskyFactor(const SymbolicFactor& sym, std::string path);
   ~OocCholeskyFactor();
 
@@ -52,6 +57,17 @@ class OocCholeskyFactor {
   /// StatusError with StatusCode::kDataCorruption.
   void read_panel(index_t s, MatrixView out) const;
 
+  /// Whole-factor spill: writes every panel of `factor` (whose contiguous
+  /// value array is exactly the file layout) with one write, checksums the
+  /// panels in memory, and copies D for LDLᵀ. `factor` must share this
+  /// object's symbolic shape.
+  void write_factor(const CholeskyFactor& factor);
+  /// Whole-factor reload into `out` (built from the same symbolic factor;
+  /// its values may be uninitialized): one read, then per-panel
+  /// verification. A panel that fails is re-read once on its own, then
+  /// StatusError(kDataCorruption) names its supernode. Copies D for LDLᵀ.
+  void read_factor(CholeskyFactor& out) const;
+
   /// LDLᵀ support, mirroring CholeskyFactor: panels on disk hold the
   /// unit-diagonal L while D stays resident (n doubles — negligible next to
   /// the spilled panels).
@@ -65,7 +81,19 @@ class OocCholeskyFactor {
   std::FILE* file_ = nullptr;
   std::vector<real_t> d_;        ///< LDLᵀ diagonal (resident)
   std::vector<count_t> offset_;  ///< per-supernode byte offset
-  std::vector<std::uint64_t> checksum_;  ///< per-supernode FNV-1a of panel
+  std::vector<std::uint64_t> checksum_;  ///< per-supernode panel digest
+
+  [[nodiscard]] std::size_t panel_start(index_t s) const {
+    return static_cast<std::size_t>(offset_[s]) / sizeof(real_t);
+  }
+  [[nodiscard]] std::size_t panel_bytes(index_t s) const {
+    return static_cast<std::size_t>(offset_[s + 1] - offset_[s]);
+  }
+  /// One positioned read of supernode s's panel into `dst`; true when the
+  /// read is complete and the bytes match the recorded checksum.
+  bool load_panel(index_t s, real_t* dst) const;
+  /// Writes `bytes` at `offset`; throws kResourceExhausted on a short write.
+  void write_at(count_t offset, const void* data, std::size_t bytes);
 };
 
 /// Out-of-core serial multifrontal factorization (Cholesky or LDLᵀ).

@@ -154,7 +154,8 @@ struct FaultPlan {
     int bit = 62;            ///< bit within the word (62: exponent MSB)
   };
   std::vector<BitFlip> bit_flips;
-  /// Payload FNV-1a digests on the fault-path wire format (site-0 defense).
+  /// payload_digest checksums on the fault-path wire format (site-0
+  /// defense).
   /// On by default; campaigns switch it off to measure what an undefended
   /// wire lets through.
   bool wire_checksums = true;

@@ -1,16 +1,20 @@
 // Shared integrity primitives for the corruption-defense layer.
 //
-// Two families live here. `fnv1a` is the byte-stream hash that guards
-// *stored or transmitted* bytes (OOC panels, checkpoint blobs, mpsim wire
-// payloads): any flipped bit changes the digest, so mismatch means the
-// bytes are not what was written. The ABFT helpers guard *computed*
-// numbers, where a hash is useless because the bits legitimately change:
-// Huang-Abraham column-sum identities relate kernel outputs to inputs
-// through the same linear algebra the kernel performs, so a corrupted
-// output breaks the identity by far more than rounding ever can. The
-// mismatch predicate and the bit-flip injectors used by the fault
-// campaigns are here too, so every module agrees on one tolerance rule
-// and one flip encoding.
+// Three families live here. `payload_digest` guards *stored or
+// transmitted* bytes (OOC panels, checkpoint blobs, mpsim wire payloads):
+// it reads the buffer a 64-bit word at a time into four independent lanes,
+// so it runs at memory speed, and every step is a bijection of the lane
+// state, so any change confined to one 8-byte word — every single-bit flip
+// among them — changes the digest with certainty. `fnv1a` is the
+// byte-serial hash kept for *identity* digests (the symbolic-cache pattern
+// key, the solver configuration hash, test goldens), whose values must not
+// change. The ABFT helpers guard *computed* numbers, where a hash is
+// useless because the bits legitimately change: Huang-Abraham column-sum
+// identities relate kernel outputs to inputs through the same linear
+// algebra the kernel performs, so a corrupted output breaks the identity by
+// far more than rounding ever can. The mismatch predicate and the bit-flip
+// injectors used by the fault campaigns are here too, so every module
+// agrees on one tolerance rule and one flip encoding.
 #pragma once
 
 #include <cmath>
@@ -21,6 +25,16 @@
 #include "support/types.h"
 
 namespace parfact {
+
+/// Word-parallel 64-bit digest of a byte range, for integrity checks on
+/// bulk payloads. Four lanes each fold every fourth 8-byte word with an
+/// add-rotate-multiply round; the trailing whole words go to lanes
+/// 0..2 and the last partial word (zero-padded) to lane 3; the lanes are
+/// then merged with the byte length and avalanched. Words are loaded in
+/// native byte order, so a digest is only meaningful on the host that made
+/// it — every guarded payload here lives within one process.
+[[nodiscard]] std::uint64_t payload_digest(const void* data,
+                                           std::size_t bytes);
 
 inline constexpr std::uint64_t kFnv1aOffsetBasis = 14695981039346656037ull;
 inline constexpr std::uint64_t kFnv1aPrime = 1099511628211ull;

@@ -1,6 +1,9 @@
 // Tests for the out-of-core factorization and the Schur complement API.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,6 +150,62 @@ TEST(Ooc, ChecksumDetectsExternalCorruption) {
     EXPECT_EQ(e.status().failed_supernode, 0);
     EXPECT_NE(e.status().message.find("checksum mismatch"),
               std::string::npos);
+  }
+}
+
+TEST(Ooc, WholeFactorRoundTripIsBitwise) {
+  const std::string path = scratch_path("whole");
+  const SparseMatrix a = grid_laplacian_2d(12, 13, 5);
+  const SymbolicFactor sym = analyze(a);
+  for (const FactorKind kind : {FactorKind::kCholesky, FactorKind::kLdlt}) {
+    const CholeskyFactor factor = multifrontal_factor(sym, nullptr, kind);
+    OocCholeskyFactor ooc(sym, path);
+    ooc.write_factor(factor);
+    EXPECT_EQ(ooc.is_ldlt(), factor.is_ldlt());
+
+    CholeskyFactor back(sym, CholeskyFactor::Uninitialized{});
+    ooc.read_factor(back);
+    ASSERT_EQ(back.values().size(), factor.values().size());
+    EXPECT_EQ(std::memcmp(back.values().data(), factor.values().data(),
+                          factor.values().size_bytes()),
+              0);
+    ASSERT_EQ(back.diag().size(), factor.diag().size());
+    EXPECT_TRUE(std::equal(back.diag().begin(), back.diag().end(),
+                           factor.diag().begin()));
+
+    // The whole-factor checksums are the ones per-panel reads verify.
+    const ConstMatrixView ref = factor.panel(sym.n_supernodes - 1);
+    std::vector<real_t> buf(static_cast<std::size_t>(ref.rows) * ref.cols);
+    MatrixView panel{buf.data(), ref.rows, ref.cols, ref.rows};
+    EXPECT_NO_THROW(ooc.read_panel(sym.n_supernodes - 1, panel));
+  }
+}
+
+TEST(Ooc, WholeFactorShortReadNamesFirstMissingPanel) {
+  const std::string path = scratch_path("short");
+  const SparseMatrix a = grid_laplacian_2d(12, 13, 5);
+  const SymbolicFactor sym = analyze(a);
+  const CholeskyFactor factor = multifrontal_factor(sym);
+  OocCholeskyFactor ooc(sym, path);
+  ooc.write_factor(factor);
+
+  // Truncate the scratch file at the start of a middle panel: the bulk
+  // read comes up short, and that panel's own re-read cannot heal it.
+  const index_t mid = sym.n_supernodes / 2;
+  std::uintmax_t cut = 0;
+  for (index_t s = 0; s < mid; ++s) {
+    cut += static_cast<std::uintmax_t>(sym.front_order(s)) * sym.sn_cols(s) *
+           sizeof(real_t);
+  }
+  std::filesystem::resize_file(path, cut);
+
+  CholeskyFactor back(sym, CholeskyFactor::Uninitialized{});
+  try {
+    ooc.read_factor(back);
+    FAIL() << "truncated factor read succeeded";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code, StatusCode::kDataCorruption);
+    EXPECT_EQ(e.status().failed_supernode, mid);
   }
 }
 

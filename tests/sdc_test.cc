@@ -6,8 +6,10 @@
 // repo's standing contract: an injected flip is either healed (result
 // bitwise identical to the clean run) or surfaces as a diagnosed Status —
 // never a silent wrong answer.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,65 @@ TEST(Checksum, Fnv1aKnownValuesAndChaining) {
   std::memcpy(copy, data, 7);
   copy[5] = static_cast<char>(copy[5] ^ 0x10);
   EXPECT_NE(fnv1a(copy, 7), whole);
+}
+
+std::vector<unsigned char> digest_pattern(std::size_t bytes) {
+  std::vector<unsigned char> buf(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    buf[i] = static_cast<unsigned char>(i * 31 + 7);
+  }
+  return buf;
+}
+
+TEST(Checksum, PayloadDigestKnownValues) {
+  // Pinned values (little-endian word loads): a change to the rounds, the
+  // tail handling or the length fold shows up here first.
+  EXPECT_EQ(payload_digest(nullptr, 0), 0xedba5dcc54aea9c3ull);
+  EXPECT_EQ(payload_digest("parfact payload digest", 22),
+            0x3d003817fe32d720ull);
+  const std::vector<unsigned char> buf = digest_pattern(1027);
+  EXPECT_EQ(payload_digest(buf.data(), buf.size()), 0xc3bab5d85e5da673ull);
+}
+
+TEST(Checksum, PayloadDigestCatchesEverySingleBitFlip) {
+  // 1,027 bytes = 32 blocks of 32 bytes plus a 3-byte partial word; 59
+  // bytes = one block, three whole tail words and a 3-byte partial word.
+  // Together the flips strike every lane, the tail words and the padding.
+  for (const std::size_t bytes : {std::size_t{1027}, std::size_t{59}}) {
+    std::vector<unsigned char> buf = digest_pattern(bytes);
+    const std::uint64_t clean = payload_digest(buf.data(), buf.size());
+    int missed = 0;
+    for (std::size_t byte = 0; byte < buf.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        buf[byte] ^= static_cast<unsigned char>(1u << bit);
+        if (payload_digest(buf.data(), buf.size()) == clean) ++missed;
+        buf[byte] ^= static_cast<unsigned char>(1u << bit);
+      }
+    }
+    EXPECT_EQ(missed, 0) << bytes << " bytes";
+    // An unaligned view hashes the same bytes the same way.
+    std::vector<unsigned char> shifted(buf.size() + 1);
+    std::memcpy(shifted.data() + 1, buf.data(), buf.size());
+    EXPECT_EQ(payload_digest(shifted.data() + 1, buf.size()), clean);
+  }
+}
+
+TEST(Checksum, PayloadDigestIsOrderAndLengthSensitive) {
+  std::vector<unsigned char> buf = digest_pattern(1027);
+  const std::uint64_t clean = payload_digest(buf.data(), buf.size());
+  // Swapping two 8-byte words: same lane (words 1 and 5) and different
+  // lanes (words 2 and 3).
+  for (const auto& [i, j] : {std::pair{1, 5}, std::pair{2, 3}}) {
+    std::vector<unsigned char> swapped = buf;
+    std::swap_ranges(swapped.begin() + 8 * i, swapped.begin() + 8 * i + 8,
+                     swapped.begin() + 8 * j);
+    EXPECT_NE(payload_digest(swapped.data(), swapped.size()), clean)
+        << "words " << i << " and " << j;
+  }
+  // Appending a zero byte pads the partial word to the same value; the
+  // folded length must still tell them apart.
+  buf.push_back(0);
+  EXPECT_NE(payload_digest(buf.data(), buf.size()), clean);
 }
 
 TEST(Checksum, AbftMismatchPredicate) {

@@ -6,7 +6,10 @@
 // job never observes a torn factor — it gets one of the consistent answers
 // or a diagnosed Status.
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -51,6 +54,33 @@ SparseMatrix scaled_values(const SparseMatrix& a, real_t scale) {
   SparseMatrix out = a;
   for (real_t& v : out.values) v *= scale;
   return out;
+}
+
+/// Flips one bit in the middle of supernode `s`'s panel inside a spilled
+/// scratch file (panels sit back to back in supernode order).
+void flip_bit_in_spilled_panel(const std::string& path,
+                               const SymbolicFactor& sym, index_t s) {
+  auto panel_bytes = [&sym](index_t t) {
+    return static_cast<long>(sym.front_order(t)) * sym.sn_cols(t) *
+           static_cast<long>(sizeof(real_t));
+  };
+  long offset = panel_bytes(s) / 2;
+  for (index_t t = 0; t < s; ++t) offset += panel_bytes(t);
+  std::FILE* fp = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(fp, nullptr) << path;
+  ASSERT_EQ(std::fseek(fp, offset, SEEK_SET), 0);
+  const int byte = std::fgetc(fp);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(fp, offset, SEEK_SET), 0);
+  ASSERT_NE(std::fputc(byte ^ 0x10, fp), EOF);
+  std::fclose(fp);
+}
+
+/// A directory path that does not exist, so scratch files cannot be made.
+std::string missing_dir() {
+  const std::string dir = "serving_test_no_such_dir";
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
 // ---------------------------------------------------------------------------
@@ -350,6 +380,52 @@ TEST(SpillFactorTest, RoundtripPreservesSolvesBitwise) {
   EXPECT_EQ(solver.solve(b), x_incore);
 }
 
+TEST(SpillFactorTest, UnwritableScratchReturnsStatusAndKeepsFactor) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  SolverOptions opt;
+  opt.spill_path = missing_dir() + "/spill.bin";
+  Solver solver(opt);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> x_incore = solver.solve(b);
+  const std::size_t incore_bytes = solver.factor_bytes();
+
+  Status status;
+  EXPECT_NO_THROW(status = solver.spill_factor());
+  EXPECT_EQ(status.code, StatusCode::kResourceExhausted);
+  EXPECT_NE(status.message.find(opt.spill_path), std::string::npos)
+      << status.message;
+  EXPECT_FALSE(solver.factor_spilled());
+  EXPECT_EQ(solver.factor_bytes(), incore_bytes);
+  EXPECT_EQ(solver.solve(b), x_incore);
+}
+
+TEST(SpillFactorTest, CorruptedScratchNamesThePanel) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  SolverOptions opt;
+  opt.spill_path = "serving_test_corrupt_spill.bin";
+  Solver solver(opt);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> x_incore = solver.solve(b);
+  ASSERT_TRUE(solver.spill_factor().ok());
+
+  const SymbolicFactor& sym = solver.symbolic();
+  ASSERT_GE(sym.n_supernodes, 3);
+  const index_t mid = sym.n_supernodes / 2;
+  flip_bit_in_spilled_panel(solver.ooc_factor().path(), sym, mid);
+
+  const Status status = solver.unspill_factor();
+  EXPECT_EQ(status.code, StatusCode::kDataCorruption);
+  EXPECT_EQ(status.failed_supernode, mid);
+  // The spilled state is kept for the caller to decide what to do.
+  EXPECT_TRUE(solver.factor_spilled());
+  ASSERT_TRUE(solver.factorize().ok());
+  EXPECT_EQ(solver.solve(b), x_incore);
+}
+
 // ---------------------------------------------------------------------------
 // factorize_and_solve: the fused entry shares every numeric call's
 // bookkeeping (stale-factor reset, cancel scope, Status-only failures)
@@ -503,6 +579,80 @@ TEST(SolverServiceTest, LruEvictionSpillsAndReloadsTransparently) {
   SolverReport report;
   ASSERT_TRUE(svc.report(ids[0], report).ok());
   EXPECT_GE(report.sessions_evicted, 1);
+}
+
+TEST(SolverServiceTest, UnwritableSpillDirNeverThrows) {
+  const SparseMatrix a = grid_laplacian_2d(30, 30);
+  Solver probe;
+  probe.analyze(a);
+  ASSERT_TRUE(probe.factorize().ok());
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> x_ref = probe.solve(b);
+
+  ServiceOptions opt;
+  opt.spill_dir = missing_dir();
+  // Room for one resident factor: the second factorize tries to evict the
+  // first, whose spill cannot create its scratch file.
+  opt.factor_cache_bytes = probe.factor_bytes() + 1024;
+  SolverService svc(opt);
+  SessionId ids[2];
+  for (SessionId& id : ids) {
+    ASSERT_TRUE(svc.open(a, id).ok());
+    Status status;
+    EXPECT_NO_THROW(status = svc.factorize(id));
+    EXPECT_TRUE(status.ok()) << status.to_string();
+  }
+  EXPECT_EQ(svc.stats().sessions_evicted, 0);
+  for (const SessionId id : ids) {
+    std::vector<real_t> x;
+    Status status;
+    EXPECT_NO_THROW(status = svc.solve(id, b, x));
+    ASSERT_TRUE(status.ok()) << status.to_string();
+    EXPECT_EQ(x, x_ref);
+  }
+}
+
+TEST(SolverServiceTest, CorruptedSpillIsRefactorizedOnNextSolve) {
+  const SparseMatrix a = grid_laplacian_2d(30, 30);
+  Solver probe;
+  probe.analyze(a);
+  ASSERT_TRUE(probe.factorize().ok());
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> x_ref = probe.solve(b);
+
+  const std::filesystem::path dir = "serving_test_corrupt_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServiceOptions opt;
+  opt.spill_dir = dir.string();
+  opt.factor_cache_bytes = probe.factor_bytes() + 1024;  // one resident
+  {
+    SolverService svc(opt);
+    SessionId ids[2];
+    for (SessionId& id : ids) {
+      ASSERT_TRUE(svc.open(a, id).ok());
+      ASSERT_TRUE(svc.factorize(id).ok());
+    }
+    ASSERT_EQ(svc.stats().sessions_evicted, 1);  // ids[0] went to disk
+
+    // The only scratch file is the evicted session's.
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      files.push_back(entry.path());
+    }
+    ASSERT_EQ(files.size(), 1u);
+    const SymbolicFactor& sym = probe.symbolic();
+    ASSERT_GE(sym.n_supernodes, 3);
+    flip_bit_in_spilled_panel(files[0].string(), sym, sym.n_supernodes / 2);
+
+    // Reloading fails its checksum; the service re-factorizes the session
+    // from its matrix and answers exactly as a fresh solver does.
+    std::vector<real_t> x;
+    const Status status = svc.solve(ids[0], b, x);
+    ASSERT_TRUE(status.ok()) << status.to_string();
+    EXPECT_EQ(x, x_ref);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SolverServiceTest, RefactorizeThroughService) {
