@@ -241,9 +241,11 @@ std::size_t SolverService::evict_lru(const Session* requester) {
     if (!lock.owns_lock()) continue;
     if (victim->solver == nullptr || !victim->reservation.held()) continue;
     const std::size_t bytes = victim->reservation.bytes();
+    const bool clean = victim->solver->factor_on_disk();
     if (victim->solver->spill_factor().failed()) continue;
     victim->reservation.reset();
     sessions_evicted_.fetch_add(1, std::memory_order_relaxed);
+    if (clean) evictions_clean_.fetch_add(1, std::memory_order_relaxed);
     return bytes;
   }
   return 0;
@@ -347,6 +349,8 @@ ServiceStats SolverService::stats() const {
   }
   st.sessions_evicted =
       static_cast<count_t>(sessions_evicted_.load(std::memory_order_relaxed));
+  st.evictions_clean =
+      static_cast<count_t>(evictions_clean_.load(std::memory_order_relaxed));
   st.symbolic_cache_hits = cache_.hits();
   st.symbolic_cache_misses = cache_.misses();
   st.refactorizes =

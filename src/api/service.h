@@ -23,9 +23,13 @@
 // streaming. Touching a spilled session reloads it in-core when room
 // exists (checksum-verified; a corrupted scratch file triggers a
 // transparent re-factorization from the session's retained matrix), and
-// otherwise streams from disk. A factor too large for the whole cache runs
-// under the remaining headroom through the solver's own governed ladder —
-// OOC spill or a diagnosed kResourceExhausted.
+// otherwise streams from disk. A reloaded factor keeps its scratch file as
+// a copy until its values change (refactorize, factorize, verify repair),
+// so evicting it again frees the memory without writing — a *clean*
+// eviction, the common case when most requests are solves. A factor too
+// large for the whole cache runs under the remaining headroom through the
+// solver's own governed ladder — OOC spill or a diagnosed
+// kResourceExhausted.
 #pragma once
 
 #include <atomic>
@@ -59,7 +63,10 @@ struct ServiceOptions {
   std::size_t factor_cache_bytes = 0;
   /// Capacity of the shared pattern-keyed symbolic-analysis cache.
   std::size_t symbolic_cache_entries = 64;
-  /// Directory for per-session OOC scratch files ("" = /tmp).
+  /// Directory for per-session OOC scratch files ("" = /tmp). A reloaded
+  /// factor keeps its file as a copy while it stays unchanged, so files
+  /// persist for resident sessions too and disk use can reach the sum of
+  /// all open sessions' factor bytes — on tmpfs, that is RAM.
   std::string spill_dir;
   /// Maximum jobs in flight across all sessions (0 = unbounded). Excess
   /// jobs wait at the fair gate.
@@ -70,6 +77,10 @@ struct ServiceOptions {
 struct ServiceStats {
   count_t sessions_open = 0;
   count_t sessions_evicted = 0;    ///< LRU factor spills (cumulative)
+  /// Evictions that freed an unchanged factor without writing it (its
+  /// scratch copy from the last reload was still valid); a subset of
+  /// sessions_evicted.
+  count_t evictions_clean = 0;
   count_t symbolic_cache_hits = 0;
   count_t symbolic_cache_misses = 0;
   count_t refactorizes = 0;
@@ -151,6 +162,7 @@ class SolverService {
   std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::uint64_t> sessions_evicted_{0};
+  std::atomic<std::uint64_t> evictions_clean_{0};
   std::atomic<std::uint64_t> refactorizes_{0};
   std::atomic<std::uint64_t> jobs_completed_{0};
 

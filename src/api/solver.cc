@@ -463,19 +463,23 @@ Status Solver::refactorize(std::span<const real_t> new_values) {
 
 Status Solver::spill_factor() {
   PARFACT_CHECK_MSG(sym_.has_value(), "spill_factor() before analyze()");
-  if (ooc_factor_.has_value()) return Status::success();
   if (!factor_.has_value()) {
+    if (ooc_factor_.has_value()) return Status::success();
     return Status::failure(StatusCode::kInvalidInput,
                            "spill_factor(): no factor to spill");
   }
-  try {
-    OocCholeskyFactor ooc(*sym_, spill_path());
-    ooc.write_factor(*factor_);
-    ooc_factor_.emplace(std::move(ooc));
-  } catch (const StatusError& e) {
-    // The scratch file could not be created or written: the in-core factor
-    // is untouched and stays in use.
-    return e.status();
+  // A kept scratch copy already holds exactly these values (every path
+  // that changes them drops it): free the memory without writing.
+  if (!ooc_factor_.has_value()) {
+    try {
+      OocCholeskyFactor ooc(*sym_, spill_path());
+      ooc.write_factor(*factor_);
+      ooc_factor_.emplace(std::move(ooc));
+    } catch (const StatusError& e) {
+      // The scratch file could not be created or written: the in-core
+      // factor is untouched and stays in use.
+      return e.status();
+    }
   }
   factor_.reset();
   solve_schedule_.reset();
@@ -502,7 +506,7 @@ Status Solver::unspill_factor() {
     // caller decide (SolverService falls back to refactorize).
     return e.status();
   }
-  ooc_factor_.reset();
+  // The verified file stays as the factor's copy for the next eviction.
   ensure_solve_schedule();
   return Status::success();
 }
@@ -703,6 +707,9 @@ void Solver::verify_and_repair(std::span<const real_t> b, index_t nrhs,
   // only returned once it verifies.
   const PivotPolicy pivot = pivot_policy();
   for (int attempt = 0; attempt < 2 && factor_.has_value(); ++attempt) {
+    // The repair rewrites factor_ outside run_numeric(): a kept scratch
+    // copy would bring the unrepaired values back on the next eviction.
+    ooc_factor_.reset();
     bool localized = false;
     if (!factor_checksums_.empty()) {
       index_t bad =

@@ -256,23 +256,32 @@ class Solver {
   /// on disk, LDLᵀ diagonal resident), releasing the panel memory and any
   /// budget reservation. Solves keep working, streamed from disk. Used by
   /// SolverService to evict cold sessions; no-op Status if already spilled.
-  /// A scratch file that cannot be created or written returns
+  /// When the scratch copy kept by unspill_factor() still matches the
+  /// factor (factor_on_disk()), the memory is freed without writing. A
+  /// scratch file that cannot be created or written returns
   /// kResourceExhausted naming the path and leaves the in-core factor as it
   /// was.
   Status spill_factor();
 
   /// Loads a spilled factor back in-core (checksum-verified panel reads;
   /// a corrupted scratch file returns kDataCorruption and keeps the spilled
-  /// state). No-op Status if already in-core.
+  /// state). The scratch file and its checksums are kept as the factor's
+  /// copy until a numeric call or a verify repair changes the values, so
+  /// evicting an unchanged factor again costs no write. No-op Status if
+  /// already in-core.
   Status unspill_factor();
 
   /// Bytes held by the current factor: in-core panel + diagonal storage, or
   /// scratch-file bytes when spilled; 0 before factorize().
   [[nodiscard]] std::size_t factor_bytes() const;
-  /// True when the factor currently lives in the OOC scratch file.
+  /// True when the factor currently lives only in the OOC scratch file.
   [[nodiscard]] bool factor_spilled() const {
-    return ooc_factor_.has_value();
+    return ooc_factor_.has_value() && !factor_.has_value();
   }
+  /// True when a checksummed scratch copy of the current factor exists:
+  /// while spilled, and after a reload until the factor's values change.
+  /// spill_factor() then frees the in-core factor without writing.
+  [[nodiscard]] bool factor_on_disk() const { return ooc_factor_.has_value(); }
 
   /// Requests cooperative cancellation of the in-flight (or next)
   /// factorize()/factorize_and_solve() call from any thread; the cancelled
@@ -354,8 +363,8 @@ class Solver {
   [[nodiscard]] bool has_factor() const {
     return factor_.has_value() || ooc_factor_.has_value();
   }
-  /// The disk-backed factor when the last factorize() spilled (asserts
-  /// otherwise); every solve entry point dispatches to it transparently.
+  /// The scratch copy of the factor (asserts unless factor_on_disk()).
+  /// Solves dispatch to it transparently while the factor is spilled.
   [[nodiscard]] const OocCholeskyFactor& ooc_factor() const;
   /// Combined permutation: original index of postordered index k.
   [[nodiscard]] const std::vector<index_t>& permutation() const {
@@ -421,7 +430,11 @@ class Solver {
   /// mutable: verify_and_repair() heals corrupted panels from const solves.
   mutable std::optional<CholeskyFactor> factor_;
   mutable FactorChecksums factor_checksums_;  ///< at-rest sums (abft runs)
-  std::optional<OocCholeskyFactor> ooc_factor_;  ///< spilled alternative
+  /// The factor's checksummed scratch copy: the only copy while spilled,
+  /// and kept beside factor_ after a reload for as long as the values are
+  /// unchanged. Every path that changes the factor drops it: analyze(),
+  /// run_numeric(), and verify_and_repair() (hence mutable) for repairs.
+  mutable std::optional<OocCholeskyFactor> ooc_factor_;
   std::vector<index_t> total_perm_;  ///< postordered -> original
   /// Per-nonzero scatter map from the analyze() input's value array into
   /// sym_->a.values — a pure permutation (no arithmetic), which is what

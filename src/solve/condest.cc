@@ -70,7 +70,7 @@ real_t estimate_inverse_norm1(const CholeskyFactor& factor) {
 real_t estimate_condition_1(const SparseMatrix& lower_a,
                             const CholeskyFactor& factor) {
   // For symmetric A the 1-norm equals the infinity norm.
-  const real_t norm_a = norm_inf(symmetrize_full(lower_a));
+  const real_t norm_a = norm_inf_symmetric_lower(lower_a);
   return norm_a * estimate_inverse_norm1(factor);
 }
 

@@ -233,7 +233,7 @@ real_t relative_residual(const SparseMatrix& lower_a,
   std::vector<real_t> r(x.size());
   spmv_symmetric_lower(lower_a, x, r);
   for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-  const real_t denom = norm_inf(symmetrize_full(lower_a)) *
+  const real_t denom = norm_inf_symmetric_lower(lower_a) *
                            norm_inf(std::span<const real_t>(x)) +
                        norm_inf(b);
   const real_t num = norm_inf(std::span<const real_t>(r));
@@ -256,7 +256,7 @@ RefinementResult iterative_refinement(const SparseMatrix& lower_a,
   // ‖A‖ and ‖b‖ are loop invariants; each iteration costs one SpMV whose
   // residual r = b − A x serves both the convergence test and, when the
   // test fails, the correction right-hand side.
-  const real_t anorm = norm_inf(symmetrize_full(lower_a));
+  const real_t anorm = norm_inf_symmetric_lower(lower_a);
   const real_t bnorm = norm_inf(b);
   auto residual_now = [&]() -> real_t {
     spmv_symmetric_lower(lower_a, x, r);
@@ -297,18 +297,35 @@ real_t refine_block(const SparseMatrix& lower_a, const CholeskyFactor& factor,
   const index_t n = lower_a.rows;
   PARFACT_CHECK(b.rows == n && x.rows == n && b.cols == x.cols);
   const index_t nrhs = x.cols;
-  const real_t anorm = norm_inf(symmetrize_full(lower_a));
+  const real_t anorm = norm_inf_symmetric_lower(lower_a);
   std::vector<real_t> r(static_cast<std::size_t>(n) * nrhs);
   MatrixView rv{r.data(), n, nrhs, n};
-  std::vector<real_t> xc(static_cast<std::size_t>(n));
-  std::vector<real_t> rc(static_cast<std::size_t>(n));
-  // Columns may be strided views; stage each through a contiguous buffer
-  // for the SpMV. One SpMV per column per pass.
-  auto residuals_into_rv = [&]() {
-    for (index_t c = 0; c < nrhs; ++c) {
+  // One SpMV per column per pass, the columns split into one contiguous
+  // range per task. Columns may be strided views, so each task stages its
+  // column through its own pair of contiguous buffers; every column is
+  // computed whole by one task, so the result does not depend on the split.
+  const index_t tasks =
+      pool != nullptr && pool->size() > 1
+          ? std::min<index_t>(nrhs, static_cast<index_t>(pool->size()))
+          : 1;
+  std::vector<std::vector<real_t>> staging(
+      static_cast<std::size_t>(tasks),
+      std::vector<real_t>(2 * static_cast<std::size_t>(n)));
+  auto residual_columns = [&](index_t t) {
+    const std::span<real_t> xc(staging[t].data(), static_cast<std::size_t>(n));
+    const std::span<real_t> rc(staging[t].data() + n,
+                               static_cast<std::size_t>(n));
+    for (index_t c = t * nrhs / tasks; c < (t + 1) * nrhs / tasks; ++c) {
       for (index_t i = 0; i < n; ++i) xc[i] = x.at(i, c);
       spmv_symmetric_lower(lower_a, xc, rc);
       for (index_t i = 0; i < n; ++i) rv.at(i, c) = b.at(i, c) - rc[i];
+    }
+  };
+  auto residuals_into_rv = [&]() {
+    if (tasks == 1) {
+      residual_columns(0);
+    } else {
+      parallel_for(*pool, 0, tasks, residual_columns);
     }
   };
   for (int pass = 0; pass < passes; ++pass) {

@@ -142,6 +142,26 @@ real_t norm_inf(const SparseMatrix& a) {
   return m;
 }
 
+real_t norm_inf_symmetric_lower(const SparseMatrix& lower) {
+  PARFACT_CHECK(lower.rows == lower.cols);
+  // Full row i holds a_ij (j < i) from lower column j, then a_ii, then
+  // a_ji (j > i) from lower column i in ascending row order. Walking the
+  // lower columns in order adds each row's terms in that same sequence.
+  std::vector<real_t> row_sum(static_cast<std::size_t>(lower.rows), 0.0);
+  for (index_t j = 0; j < lower.cols; ++j) {
+    for (index_t p = lower.col_ptr[j]; p < lower.col_ptr[j + 1]; ++p) {
+      const index_t i = lower.row_ind[p];
+      PARFACT_CHECK_MSG(i >= j, "matrix is not lower-triangular-stored");
+      const real_t v = std::abs(lower.values[p]);
+      row_sum[i] += v;
+      if (i != j) row_sum[j] += v;
+    }
+  }
+  real_t m = 0.0;
+  for (real_t s : row_sum) m = std::max(m, s);
+  return m;
+}
+
 real_t norm_frobenius(const SparseMatrix& a) {
   real_t s = 0.0;
   for (real_t v : a.values) s += v * v;

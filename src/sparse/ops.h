@@ -40,6 +40,12 @@ void spmv_symmetric_lower(const SparseMatrix& lower,
 /// Infinity norm (max absolute row sum) of a full-stored matrix.
 [[nodiscard]] real_t norm_inf(const SparseMatrix& a);
 
+/// Infinity norm of the symmetric matrix stored as its lower triangle,
+/// without expanding it: each row is summed in ascending column order,
+/// exactly as norm_inf(symmetrize_full(lower)) sums it, so the two are
+/// bitwise equal.
+[[nodiscard]] real_t norm_inf_symmetric_lower(const SparseMatrix& lower);
+
 /// Frobenius norm.
 [[nodiscard]] real_t norm_frobenius(const SparseMatrix& a);
 

@@ -209,6 +209,88 @@ TEST(Ooc, WholeFactorShortReadNamesFirstMissingPanel) {
   }
 }
 
+// --- Clean eviction: a reloaded factor keeps its verified scratch copy --------
+
+std::string file_bytes(const std::string& path) {
+  std::FILE* fp = std::fopen(path.c_str(), "rb");
+  if (fp == nullptr) return {};
+  std::string bytes;
+  char buf[1 << 14];
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, fp)) > 0;) {
+    bytes.append(buf, got);
+  }
+  std::fclose(fp);
+  return bytes;
+}
+
+TEST(Ooc, CleanEvictionLeavesScratchFileUntouched) {
+  const std::string path = scratch_path("clean_evict");
+  const SparseMatrix a = grid_laplacian_2d(20, 21, 5);
+  SolverOptions opt;
+  opt.spill_path = path;
+  Solver solver(opt);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  EXPECT_FALSE(solver.factor_on_disk());
+  const std::vector<real_t> b = random_vector(a.rows, 3);
+  const std::vector<real_t> x_incore = solver.solve(b);
+
+  ASSERT_TRUE(solver.spill_factor().ok());  // first eviction writes
+  const std::string written = file_bytes(path);
+  ASSERT_EQ(written.size(),
+            static_cast<std::size_t>(solver.ooc_factor().bytes_on_disk()));
+  const auto mtime = std::filesystem::last_write_time(path);
+  ASSERT_TRUE(solver.unspill_factor().ok());
+  EXPECT_FALSE(solver.factor_spilled());
+  EXPECT_TRUE(solver.factor_on_disk());  // the verified copy is kept
+
+  ASSERT_TRUE(solver.spill_factor().ok());  // clean: no write
+  EXPECT_TRUE(solver.factor_spilled());
+  EXPECT_EQ(std::filesystem::last_write_time(path), mtime);
+  EXPECT_EQ(file_bytes(path), written);
+  EXPECT_EQ(solver.solve(b), x_incore);  // streamed from the kept file
+  ASSERT_TRUE(solver.unspill_factor().ok());
+  EXPECT_EQ(solver.solve(b), x_incore);
+}
+
+TEST(Ooc, CorruptionAfterCleanEvictionIsCaughtOnReload) {
+  const std::string path = scratch_path("clean_corrupt");
+  const SparseMatrix a = grid_laplacian_2d(20, 21, 5);
+  SolverOptions opt;
+  opt.spill_path = path;
+  Solver solver(opt);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  ASSERT_TRUE(solver.spill_factor().ok());
+  ASSERT_TRUE(solver.unspill_factor().ok());
+
+  // Scribble on the kept copy while the factor is resident; the clean
+  // eviction must not rewrite (and so silently heal) it.
+  const SymbolicFactor& sym = solver.symbolic();
+  ASSERT_GE(sym.n_supernodes, 3);
+  const index_t mid = sym.n_supernodes / 2;
+  long offset = 0;
+  for (index_t s = 0; s < mid; ++s) {
+    offset += static_cast<long>(sym.front_order(s)) * sym.sn_cols(s) *
+              static_cast<long>(sizeof(real_t));
+  }
+  {
+    std::FILE* fp = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(fp, nullptr);
+    ASSERT_EQ(std::fseek(fp, offset, SEEK_SET), 0);
+    const int byte = std::fgetc(fp);
+    ASSERT_NE(byte, EOF);
+    ASSERT_EQ(std::fseek(fp, offset, SEEK_SET), 0);
+    ASSERT_NE(std::fputc(byte ^ 0x04, fp), EOF);
+    std::fclose(fp);
+  }
+  ASSERT_TRUE(solver.spill_factor().ok());
+  const Status status = solver.unspill_factor();
+  EXPECT_EQ(status.code, StatusCode::kDataCorruption);
+  EXPECT_EQ(status.failed_supernode, mid);
+  EXPECT_TRUE(solver.factor_spilled());
+}
+
 // --- Schur complement ---------------------------------------------------------
 
 TEST(Schur, MatchesDenseComputation) {

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -427,6 +428,139 @@ TEST(SpillFactorTest, CorruptedScratchNamesThePanel) {
 }
 
 // ---------------------------------------------------------------------------
+// Clean eviction: a reloaded factor keeps its scratch copy, and every path
+// that changes the factor's values must drop it — otherwise the next
+// eviction would free the new factor and a reload would bring back the old.
+
+/// Fresh-Solver reference: factorize `a` (shared-memory or distributed
+/// engine) and solve `b`.
+std::vector<real_t> fresh_solve(const SparseMatrix& a,
+                                const std::vector<real_t>& b,
+                                bool distributed) {
+  SolverOptions opt;
+  opt.threads = 2;
+  Solver solver(opt);
+  solver.analyze(a);
+  const Status st =
+      distributed ? solver.factorize_distributed(4) : solver.factorize();
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  return solver.solve(b);
+}
+
+/// Evicts and reloads `solver`, checking that the eviction wrote a fresh
+/// copy (the numeric call dropped the stale one) and that the streamed and
+/// reloaded solves both equal `want`.
+void expect_evict_reload_solves(Solver& solver, const std::vector<real_t>& b,
+                                const std::vector<real_t>& want) {
+  EXPECT_FALSE(solver.factor_on_disk()) << "stale scratch copy kept";
+  ASSERT_TRUE(solver.spill_factor().ok());
+  EXPECT_EQ(solver.solve(b), want);
+  ASSERT_TRUE(solver.unspill_factor().ok());
+  EXPECT_TRUE(solver.factor_on_disk());
+  EXPECT_EQ(solver.solve(b), want);
+}
+
+TEST(CleanEvictionTest, FastPathRefactorizeDropsStaleCopy) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  const SparseMatrix a2 = scaled_values(a, 3.0);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> want = fresh_solve(a2, b, false);
+  ASSERT_NE(want, fresh_solve(a, b, false));
+
+  SolverOptions opt;
+  opt.threads = 2;
+  opt.spill_path = "serving_test_clean_refac.bin";
+  Solver solver(opt);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  ASSERT_TRUE(solver.spill_factor().ok());
+  ASSERT_TRUE(solver.unspill_factor().ok());
+  ASSERT_TRUE(solver.factor_on_disk());
+  ASSERT_TRUE(solver.refactorize(a2.values).ok());  // in-place fast path
+  expect_evict_reload_solves(solver, b, want);
+}
+
+// The distributed factor differs from the shared-memory one in the last
+// bits, so a copy made by one engine is stale for the other even on the
+// same values: each numeric entry point must drop it.
+TEST(CleanEvictionTest, EveryNumericEntryPointDropsStaleCopy) {
+  const SparseMatrix a = grid_laplacian_3d(9, 9, 9);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> x_shared = fresh_solve(a, b, false);
+  const std::vector<real_t> x_dist = fresh_solve(a, b, true);
+  ASSERT_NE(x_shared, x_dist) << "engines agree bitwise: test is vacuous";
+
+  struct Case {
+    const char* name;
+    bool copy_from_distributed;
+    std::function<Status(Solver&)> call;
+  };
+  const std::vector<Case> cases = {
+      {"factorize", true, [](Solver& s) { return s.factorize(); }},
+      {"factorize_and_solve", true,
+       [&b](Solver& s) {
+         std::vector<real_t> x;
+         return s.factorize_and_solve(b, 1, x);
+       }},
+      {"factorize_distributed", false,
+       [](Solver& s) { return s.factorize_distributed(4); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SolverOptions opt;
+    opt.threads = 2;
+    opt.spill_path = std::string("serving_test_clean_") + c.name + ".bin";
+    Solver solver(opt);
+    solver.analyze(a);
+    ASSERT_TRUE((c.copy_from_distributed ? solver.factorize_distributed(4)
+                                         : solver.factorize())
+                    .ok());
+    ASSERT_TRUE(solver.spill_factor().ok());
+    ASSERT_TRUE(solver.unspill_factor().ok());
+    ASSERT_TRUE(solver.factor_on_disk());
+    const Status st = c.call(solver);
+    ASSERT_TRUE(st.ok()) << st.to_string();
+    expect_evict_reload_solves(solver, b,
+                               c.copy_from_distributed ? x_shared : x_dist);
+  }
+}
+
+TEST(CleanEvictionTest, VerifyRepairDropsCopyOfCorruptFactor) {
+  // A stored-factor flip is spilled and reloaded intact (the checksums
+  // cover what was written); the verified solve repairs it in place. The
+  // next eviction must write the repaired factor, not free it cleanly.
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  Solver reference;
+  reference.analyze(a);
+  ASSERT_TRUE(reference.factorize().ok());
+  const std::vector<real_t> want = reference.solve(b);
+
+  SolverOptions opt;
+  opt.verify = SolverOptions::Verify::kFull;
+  opt.inject_sdc = SdcInjection{};
+  opt.inject_sdc->site = SdcSite::kStoredFactor;
+  opt.inject_sdc->supernode = 1;
+  opt.spill_path = "serving_test_clean_repair.bin";
+  Solver solver(opt);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  ASSERT_TRUE(solver.spill_factor().ok());
+  ASSERT_TRUE(solver.unspill_factor().ok());
+  EXPECT_EQ(solver.solve(b), want);
+  EXPECT_TRUE(solver.report().corruption_detected);
+
+  ASSERT_FALSE(solver.factor_on_disk());
+  ASSERT_TRUE(solver.spill_factor().ok());
+  ASSERT_TRUE(solver.unspill_factor().ok());
+  expect_panels_bitwise_equal(reference.symbolic(), reference.factor(),
+                              solver.factor());
+  const count_t recomputed = solver.report().fronts_recomputed;
+  EXPECT_EQ(solver.solve(b), want);
+  EXPECT_EQ(solver.report().fronts_recomputed, recomputed);
+}
+
+// ---------------------------------------------------------------------------
 // factorize_and_solve: the fused entry shares every numeric call's
 // bookkeeping (stale-factor reset, cancel scope, Status-only failures)
 
@@ -648,6 +782,125 @@ TEST(SolverServiceTest, CorruptedSpillIsRefactorizedOnNextSolve) {
     // Reloading fails its checksum; the service re-factorizes the session
     // from its matrix and answers exactly as a fresh solver does.
     std::vector<real_t> x;
+    const Status status = svc.solve(ids[0], b, x);
+    ASSERT_TRUE(status.ok()) << status.to_string();
+    EXPECT_EQ(x, x_ref);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// The service's scratch file for session `id` in `dir`.
+std::filesystem::path session_file(const std::filesystem::path& dir,
+                                   SessionId id) {
+  std::string suffix = std::to_string(id);
+  suffix.insert(0, 1, '_');
+  suffix.append(".bin");
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().ends_with(suffix)) {
+      return entry.path();
+    }
+  }
+  return {};
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::FILE* fp = std::fopen(path.string().c_str(), "rb");
+  if (fp == nullptr) return {};
+  std::string bytes;
+  char buf[1 << 14];
+  for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, fp)) > 0;) {
+    bytes.append(buf, got);
+  }
+  std::fclose(fp);
+  return bytes;
+}
+
+TEST(SolverServiceTest, CleanEvictionWritesNothing) {
+  const SparseMatrix a = grid_laplacian_2d(30, 30);
+  Solver probe;
+  probe.analyze(a);
+  ASSERT_TRUE(probe.factorize().ok());
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> x_ref = probe.solve(b);
+
+  const std::filesystem::path dir = "serving_test_clean_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServiceOptions opt;
+  opt.spill_dir = dir.string();
+  opt.factor_cache_bytes = probe.factor_bytes() + 1024;  // one resident
+  {
+    SolverService svc(opt);
+    SessionId ids[2];
+    for (SessionId& id : ids) {
+      ASSERT_TRUE(svc.open(a, id).ok());
+      ASSERT_TRUE(svc.factorize(id).ok());
+    }
+    std::vector<real_t> x;
+    ASSERT_TRUE(svc.solve(ids[0], b, x).ok());  // reload 0, evict 1
+    EXPECT_EQ(x, x_ref);
+    ServiceStats stats = svc.stats();
+    ASSERT_EQ(stats.sessions_evicted, 2);
+    EXPECT_EQ(stats.evictions_clean, 0);  // both factors were new
+
+    // Session 0 is resident and keeps its reloaded file as its copy.
+    const std::filesystem::path file0 = session_file(dir, ids[0]);
+    ASSERT_FALSE(file0.empty());
+    const std::string before = file_bytes(file0);
+    const auto mtime = std::filesystem::last_write_time(file0);
+    ASSERT_TRUE(svc.solve(ids[1], b, x).ok());  // reload 1, evict 0 clean
+    EXPECT_EQ(x, x_ref);
+    stats = svc.stats();
+    EXPECT_EQ(stats.sessions_evicted, 3);
+    EXPECT_EQ(stats.evictions_clean, 1);
+    EXPECT_EQ(std::filesystem::file_size(file0), before.size());
+    EXPECT_EQ(std::filesystem::last_write_time(file0), mtime);
+    EXPECT_EQ(file_bytes(file0), before);
+
+    // A refactorize changes session 1's values: its next eviction writes.
+    ASSERT_TRUE(svc.refactorize(ids[1], a.values).ok());
+    ASSERT_TRUE(svc.solve(ids[0], b, x).ok());  // reload 0, evict 1 dirty
+    EXPECT_EQ(x, x_ref);
+    stats = svc.stats();
+    EXPECT_EQ(stats.sessions_evicted, 4);
+    EXPECT_EQ(stats.evictions_clean, 1);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SolverServiceTest, CorruptionAfterCleanEvictionIsRefactorized) {
+  const SparseMatrix a = grid_laplacian_2d(30, 30);
+  Solver probe;
+  probe.analyze(a);
+  ASSERT_TRUE(probe.factorize().ok());
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> x_ref = probe.solve(b);
+
+  const std::filesystem::path dir = "serving_test_clean_corrupt_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ServiceOptions opt;
+  opt.spill_dir = dir.string();
+  opt.factor_cache_bytes = probe.factor_bytes() + 1024;  // one resident
+  {
+    SolverService svc(opt);
+    SessionId ids[2];
+    for (SessionId& id : ids) {
+      ASSERT_TRUE(svc.open(a, id).ok());
+      ASSERT_TRUE(svc.factorize(id).ok());
+    }
+    std::vector<real_t> x;
+    ASSERT_TRUE(svc.solve(ids[0], b, x).ok());  // reload 0, evict 1
+
+    // Corrupt session 0's kept copy while it is resident, then evict it
+    // cleanly: the bad file stays as it is and the reload must catch it.
+    const SymbolicFactor& sym = probe.symbolic();
+    ASSERT_GE(sym.n_supernodes, 3);
+    flip_bit_in_spilled_panel(session_file(dir, ids[0]).string(), sym,
+                              sym.n_supernodes / 2);
+    ASSERT_TRUE(svc.solve(ids[1], b, x).ok());  // reload 1, evict 0 clean
+    ASSERT_EQ(svc.stats().evictions_clean, 1);
+
     const Status status = svc.solve(ids[0], b, x);
     ASSERT_TRUE(status.ok()) << status.to_string();
     EXPECT_EQ(x, x_ref);

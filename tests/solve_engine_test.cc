@@ -321,6 +321,32 @@ TEST(SolverBatch, BatchEqualsMultiOnSameBlockPartition) {
   }
 }
 
+TEST(SolverBatch, PooledRefinementResidualsAreBitwiseSerial) {
+  const SparseMatrix a = solver_matrix();
+  const SymbolicFactor sym = analyze(a);
+  const CholeskyFactor factor = multifrontal_factor(sym);
+  const index_t n = sym.n;
+  const index_t nrhs = 7;  // uneven split over the pool's tasks
+  const std::vector<real_t> b = random_rhs(n, nrhs, 41);
+  const SolveSchedule schedule(sym);
+  SolveWorkspace ws_serial, ws_pooled;
+  std::vector<real_t> x_serial = b;
+  solve_in_place(factor, MatrixView{x_serial.data(), n, nrhs, n}, schedule,
+                 ws_serial, nullptr);
+  std::vector<real_t> x_pooled = x_serial;
+  ThreadPool pool(3);
+  const ConstMatrixView bv{b.data(), n, nrhs, n};
+  const real_t r_serial =
+      refine_block(sym.a, factor, bv, MatrixView{x_serial.data(), n, nrhs, n},
+                   schedule, ws_serial, nullptr, 2);
+  const real_t r_pooled =
+      refine_block(sym.a, factor, bv, MatrixView{x_pooled.data(), n, nrhs, n},
+                   schedule, ws_pooled, &pool, 2);
+  EXPECT_EQ(r_serial, r_pooled);
+  EXPECT_LT(r_serial, 1e-12);
+  ASSERT_EQ(x_serial, x_pooled);
+}
+
 TEST(SolverBatch, WidthOneBatchEqualsSolveLoop) {
   SolverOptions options;
   options.solve_rhs_block = 1;

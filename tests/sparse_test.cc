@@ -1,5 +1,6 @@
 // Tests for the sparse module: containers, ops, generators, Matrix Market.
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -166,6 +167,17 @@ TEST(Ops, Norms) {
   EXPECT_DOUBLE_EQ(norm_inf(a), 7.0);  // row 1: 1+4+2
   EXPECT_NEAR(norm_frobenius(a),
               std::sqrt(16 + 16 + 25 + 2 * 1 + 2 * 4.0), 1e-15);
+}
+
+TEST(Ops, SymmetricLowerNormIsBitwiseTheExpandedNorm) {
+  for (const SparseMatrix& lower :
+       {random_spd(300, 7, 5), grid_laplacian_3d(7, 6, 5),
+        saddle_point_kkt(60, 30, 3, 9)}) {
+    const real_t expanded = norm_inf(symmetrize_full(lower));
+    const real_t direct = norm_inf_symmetric_lower(lower);
+    EXPECT_EQ(std::memcmp(&expanded, &direct, sizeof(real_t)), 0)
+        << expanded << " vs " << direct;
+  }
 }
 
 TEST(Ops, VectorHelpers) {
