@@ -189,7 +189,6 @@ void Solver::ensure_solve_schedule() {
 std::uint64_t Solver::config_hash() const {
   std::uint64_t h = fnv1a_pod(static_cast<int>(options_.ordering));
   h = fnv1a_pod(options_.nd.nd_leaf_size, h);
-  h = fnv1a_pod(options_.nd.leaf_minimum_degree, h);
   h = fnv1a_pod(options_.nd.partition.balance_tol, h);
   h = fnv1a_pod(options_.nd.partition.coarse_target, h);
   h = fnv1a_pod(options_.nd.partition.fm_passes, h);
@@ -390,8 +389,7 @@ Status Solver::factorize() {
           "without the checksum-carrying engine the flip would be a silent "
           "wrong answer");
     }
-    const Status status =
-        options_.abft ? factorize_abft(call) : factorize_governed(call);
+    const Status status = factorize_governed(call);
     if (!status.failed() && stored_flip && factor_.has_value()) {
       inject_factor_bitflip(*sym_, *factor_, *options_.inject_sdc);
     }
@@ -399,14 +397,28 @@ Status Solver::factorize() {
   });
 }
 
+std::optional<AbftOptions> Solver::abft_options() {
+  if (!options_.abft) return std::nullopt;
+  AbftOptions aopts;
+  aopts.tolerance = options_.abft_tolerance;
+  if (options_.inject_sdc.has_value() &&
+      options_.inject_sdc->site != SdcSite::kStoredFactor) {
+    aopts.inject = &*options_.inject_sdc;
+  }
+  aopts.checksums = &factor_checksums_;
+  return aopts;
+}
+
 Status Solver::factorize_governed(NumericCall& call) {
   budget_ = std::make_unique<ResourceBudget>(options_.memory_budget_bytes);
+  const std::optional<AbftOptions> abft = abft_options();
   GovernedOptions gopts;
   gopts.kind = options_.factor_kind;
   gopts.pivot = call.pivot;
   gopts.pool = pool();
   gopts.spill_path = spill_path();
   gopts.cancel = call.cancel;
+  gopts.abft = abft ? &*abft : nullptr;
   GovernedFactorizeResult result =
       multifrontal_factorize_governed(*sym_, *budget_, gopts);
   call.stats = result.stats;
@@ -437,24 +449,26 @@ Status Solver::refactorize(std::span<const real_t> new_values) {
     sym_->a.values[q] = original_lower_.values[value_map_[q]];
   }
 
-  // Fast path: the previous run left an in-core factor and no feature that
-  // needs its own engine (ABFT checksums, admission ladder, fault
-  // injection) is active — re-run the numeric phase into the existing
-  // allocation. Anything else falls through to the full factorize(), which
-  // composes with governance/ABFT/OOC unchanged (analyze is never re-run).
-  if (options_.abft || options_.memory_budget_bytes > 0 ||
-      options_.inject_sdc.has_value() || !factor_.has_value()) {
+  // Fast path: the previous run left an in-core factor and neither the
+  // admission ladder nor fault injection is active — re-run the numeric
+  // phase into the existing allocation, ABFT-checked when armed. Anything
+  // else falls through to the full factorize(), which composes with
+  // governance/ABFT/OOC unchanged (analyze is never re-run).
+  if (options_.memory_budget_bytes > 0 || options_.inject_sdc.has_value() ||
+      !factor_.has_value()) {
     return factorize();
   }
   CholeskyFactor factor = std::move(*factor_);
   return run_numeric([this, &factor](NumericCall& call) {
+    const std::optional<AbftOptions> abft = abft_options();
+    const AbftOptions* checked = abft ? &*abft : nullptr;
     if (ThreadPool* workers = pool()) {
       multifrontal_refactor_parallel(*sym_, factor, *workers, &call.stats,
                                      options_.factor_kind, kCoopFrontFlops,
-                                     call.pivot, call.cancel);
+                                     call.pivot, call.cancel, checked);
     } else {
       multifrontal_refactor(*sym_, factor, &call.stats, options_.factor_kind,
-                            call.pivot, call.cancel);
+                            call.pivot, call.cancel, checked);
     }
     factor_.emplace(std::move(factor));
     return Status::success(call.stats.pivot_perturbations);
@@ -481,10 +495,11 @@ Status Solver::spill_factor() {
       return e.status();
     }
   }
+  // The at-rest checksums (2n doubles) stay: a verified reload restores
+  // bitwise the values they were taken from.
   factor_.reset();
   solve_schedule_.reset();
   reservation_.reset();
-  factor_checksums_ = FactorChecksums{};
   report_.bytes_spilled = ooc_factor_->bytes_on_disk();
   return Status::success();
 }
@@ -526,26 +541,6 @@ std::size_t Solver::factor_bytes() const {
   return 0;
 }
 
-Status Solver::factorize_abft(NumericCall& call) {
-  if (options_.memory_budget_bytes > 0) {
-    return Status::failure(
-        StatusCode::kInvalidInput,
-        "options.abft is incompatible with memory_budget_bytes: the "
-        "checksum-carrying engine is the serial in-core path and has no "
-        "admission ladder");
-  }
-  AbftOptions aopts;
-  aopts.tolerance = options_.abft_tolerance;
-  if (options_.inject_sdc.has_value() &&
-      options_.inject_sdc->site != SdcSite::kStoredFactor) {
-    aopts.inject = &*options_.inject_sdc;
-  }
-  factor_.emplace(multifrontal_factor_abft(
-      *sym_, &call.stats, options_.factor_kind, call.pivot, aopts,
-      &factor_checksums_, call.cancel));
-  return Status::success(call.stats.pivot_perturbations);
-}
-
 Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
                                    std::vector<real_t>& x) {
   PARFACT_CHECK_MSG(sym_.has_value(), "factorize_and_solve() before analyze()");
@@ -556,8 +551,9 @@ Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
     return e.status();  // Status-returning entry point: no throw on bad input
   }
   // The fused graph is the task-DAG engine plus solve tasks: the serial
-  // path has no fusion to offer, and the admission ladder, ABFT and fault
-  // injection have engines of their own.
+  // path has no fusion to offer, and the admission ladder and fault
+  // injection have engines of their own. ABFT falls back too: a repair
+  // rewrites child panels that forward-solve tasks may already be reading.
   if (options_.threads <= 1 || options_.memory_budget_bytes > 0 ||
       options_.abft || options_.inject_sdc.has_value()) {
     const Status status = factorize();

@@ -87,14 +87,13 @@ struct SolverOptions {
   double deadline_seconds = 0.0;
   /// OOC scratch file for budget-driven spill; empty = a unique /tmp path.
   std::string spill_path;
-  /// ABFT checksum-carrying factorization (DESIGN.md §5f): factorize()
-  /// runs the serial engine with a column-sum identity checked after every
-  /// kernel stage; detected corruption is localized to one front and
-  /// repaired by bounded recompute, bitwise identical to a clean run. Also
-  /// arms the at-rest factor checksums that let post-solve verification
-  /// localize storage corruption. Incompatible with memory_budget_bytes
-  /// (the governed ladder has its own engines) — that combination returns
-  /// kInvalidInput.
+  /// ABFT checksum-carrying factorization (DESIGN.md §5f): every front of
+  /// factorize()/refactorize() is checked with a column-sum identity after
+  /// every kernel stage, on whichever engine runs (task DAG, serial, or the
+  /// spill rung of a memory budget); detected corruption is localized to
+  /// one front and repaired by bounded recompute, bitwise identical to a
+  /// clean run. Also arms the at-rest factor checksums that let post-solve
+  /// verification localize storage corruption.
   bool abft = false;
   real_t abft_tolerance = 1e-8;  ///< ABFT identity tolerance
   /// Post-solve end-to-end verification of solve()/solve_multi() results:
@@ -241,12 +240,13 @@ class Solver {
   /// Numeric-only re-factorization: installs `new_values` (same length and
   /// order as the analyze() input's value array — the pattern must be
   /// unchanged) and re-runs the numeric phase. When the previous factorize()
-  /// left an in-core factor and no ABFT/budget/injection option is active,
-  /// this skips ordering, symbolic analysis, and all allocation, writing the
-  /// new factor into the existing panels — the serving fast path. The result
-  /// is bitwise identical to analyze()+factorize() on the same values, and
-  /// the perturbation count is reported identically. Otherwise (ABFT,
-  /// memory budget, OOC, injection, or no prior factor) it degrades to the
+  /// left an in-core factor and no budget/injection option is active, this
+  /// skips ordering, symbolic analysis, and all allocation, writing the new
+  /// factor into the existing panels (ABFT-checked when armed) — the
+  /// serving fast path. The result is bitwise identical to
+  /// analyze()+factorize() on the same values, and the perturbation count is
+  /// reported identically. Otherwise (memory budget, OOC, injection, or no
+  /// prior factor) it degrades to the
   /// full factorize() on the new values, composing with those features
   /// unchanged. A length mismatch returns kInvalidInput; cancellation,
   /// deadlines and breakdown behave exactly as in factorize().
@@ -315,7 +315,8 @@ class Solver {
   /// bitwise identical to factorize() followed by solve_multi(b, nrhs), and
   /// failures (breakdown, cancellation, deadline) come back as the Status.
   /// Requires analyze(). With threads <= 1, a memory budget, ABFT or fault
-  /// injection it runs factorize() then solve_multi() instead.
+  /// injection it runs factorize() then solve_multi() instead (an ABFT
+  /// repair may rewrite panels a fused forward solve already read).
   Status factorize_and_solve(std::span<const real_t> b, index_t nrhs,
                              std::vector<real_t>& x);
 
@@ -406,14 +407,15 @@ class Solver {
   /// engine's FactorStats into the report; and returns every StatusError
   /// the engine throws as the Status. A failed call leaves no factor.
   Status run_numeric(const std::function<Status(NumericCall&)>& engine);
-  /// factorize() engine without ABFT: the governed admission ladder.
+  /// options.abft as the engines' AbftOptions (at-rest sums into
+  /// factor_checksums_); nullopt when ABFT is off.
+  [[nodiscard]] std::optional<AbftOptions> abft_options();
+  /// factorize() engine: the governed admission ladder.
   Status factorize_governed(NumericCall& call);
   /// x := A⁻¹ x on the postordered block, dispatching in-core vs spilled.
   void solve_postordered(MatrixView x) const;
   [[nodiscard]] std::string spill_path() const;
   void check_rhs(std::size_t b_size, index_t nrhs, const char* fn) const;
-  /// factorize() engine with options.abft: checksum-carrying serial engine.
-  Status factorize_abft(NumericCall& call);
   /// Permute → triangular sweeps → permute back (solve_multi's core).
   [[nodiscard]] std::vector<real_t> solve_permuted(std::span<const real_t> b,
                                                    index_t nrhs) const;
@@ -429,7 +431,9 @@ class Solver {
   std::optional<SymbolicFactor> sym_;
   /// mutable: verify_and_repair() heals corrupted panels from const solves.
   mutable std::optional<CholeskyFactor> factor_;
-  mutable FactorChecksums factor_checksums_;  ///< at-rest sums (abft runs)
+  /// At-rest sums (abft runs); kept across spill and reload, which restore
+  /// the values bitwise.
+  mutable FactorChecksums factor_checksums_;
   /// The factor's checksummed scratch copy: the only copy while spilled,
   /// and kept beside factor_ after a reload for as long as the values are
   /// unchanged. Every path that changes the factor drops it: analyze(),

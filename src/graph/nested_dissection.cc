@@ -30,8 +30,7 @@ class NestedDissector {
 
  private:
   void order_leaf(const std::vector<index_t>& vertices, index_t out_begin) {
-    if (opts_.leaf_minimum_degree &&
-        static_cast<index_t>(vertices.size()) > 2) {
+    if (static_cast<index_t>(vertices.size()) > 2) {
       const Graph sub = induced_subgraph(g_, vertices, local_of_);
       const std::vector<index_t> sub_perm = minimum_degree(sub);
       for (std::size_t k = 0; k < vertices.size(); ++k) {

@@ -84,8 +84,7 @@ class ParallelDissector {
   }
 
   void order_leaf(const std::vector<index_t>& vertices, index_t out_begin) {
-    if (opts_.leaf_minimum_degree &&
-        static_cast<index_t>(vertices.size()) > 2) {
+    if (static_cast<index_t>(vertices.size()) > 2) {
       auto scratch = acquire_scratch();
       const Graph sub = induced_subgraph(g_, vertices, *scratch);
       release_scratch(std::move(scratch));

@@ -19,10 +19,9 @@
 namespace parfact {
 
 struct OrderingOptions {
-  /// Subgraphs at or below this size stop the ND recursion.
+  /// Subgraphs at or below this size stop the ND recursion and are ordered
+  /// by minimum degree.
   index_t nd_leaf_size = 64;
-  /// Order ND leaves with minimum degree (true) or leave them in place.
-  bool leaf_minimum_degree = true;
   /// Multilevel partitioner knobs.
   PartitionOptions partition;
   /// PRNG seed (ND is randomized via the partitioner).

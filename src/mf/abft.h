@@ -59,6 +59,19 @@ struct SdcInjection {
                         ///< fault; must surface as kDataCorruption)
 };
 
+/// Per-column integrity sums of a completed factor: for each postordered
+/// column, the sum (and absolute-value sum, the tolerance scale) of its
+/// stored trapezoidal panel column. Produced by the checked fronts at
+/// completion, or post-hoc by compute_factor_checksums.
+struct FactorChecksums {
+  std::vector<real_t> col_sum;
+  std::vector<real_t> col_abs;
+  [[nodiscard]] bool empty() const { return col_sum.empty(); }
+};
+
+/// ABFT for one factorization run, taken by every engine as its
+/// `const AbftOptions* abft` argument (multifrontal.h, ooc.h). FactorStats
+/// then also report checks, detections and recomputed fronts.
 struct AbftOptions {
   /// Relative tolerance of the checksum identities. The identities hold to
   /// O(front · eps) ≈ 1e-13 relative on real fronts; 1e-8 leaves orders of
@@ -69,25 +82,13 @@ struct AbftOptions {
   /// sticky and the factorization fails with kDataCorruption.
   int max_front_attempts = 3;
   const SdcInjection* inject = nullptr;  ///< fault campaign hook
+  /// Output: when non-null, receives the per-column factor sums for
+  /// at-rest verification.
+  FactorChecksums* checksums = nullptr;
 };
 
-/// Per-column integrity sums of a completed factor: for each postordered
-/// column, the sum (and absolute-value sum, the tolerance scale) of its
-/// stored trapezoidal panel column. Produced by the ABFT engine at front
-/// completion, or post-hoc by compute_factor_checksums.
-struct FactorChecksums {
-  std::vector<real_t> col_sum;
-  std::vector<real_t> col_abs;
-  [[nodiscard]] bool empty() const { return col_sum.empty(); }
-};
-
-/// Serial multifrontal factorization with ABFT checks interleaved after
-/// every kernel stage. On a clean run the factor is bitwise identical to
-/// multifrontal_factor (the checks only read). Detected corruption is
-/// repaired by bounded recompute; `stats` reports checks/detections/
-/// recomputed fronts on top of the usual fields. When `checksums` is
-/// non-null it receives the per-column factor sums for at-rest
-/// verification.
+/// Serial ABFT factorization: multifrontal_factor with `options` (and
+/// `checksums`, when non-null, as options.checksums).
 [[nodiscard]] CholeskyFactor multifrontal_factor_abft(
     const SymbolicFactor& sym, FactorStats* stats = nullptr,
     FactorKind kind = FactorKind::kCholesky, PivotPolicy pivot = {},

@@ -26,20 +26,19 @@ constexpr index_t kTaskSlabMinRows = 64;
 
 FactorDag::FactorDag(const SymbolicFactor& sym, CholeskyFactor& factor,
                      FactorKind kind, std::span<real_t> d, PivotPolicy pivot,
-                     count_t fuse_flops, int n_workers)
+                     count_t fuse_flops, int n_workers,
+                     const AbftOptions* abft)
     : sym_(sym),
       factor_(factor),
-      kind_(kind),
-      d_(d),
-      pivot_(pivot),
       fuse_flops_(fuse_flops),
       n_workers_(std::max(1, n_workers)),
-      children_(build_children(sym)),
-      update_of_(static_cast<std::size_t>(sym.n_supernodes)),
+      run_(sym, kind, d, pivot, abft),
       m_of_(static_cast<std::size_t>(sym.n_supernodes)),
       m_refs_(static_cast<std::size_t>(sym.n_supernodes)),
       panel_ready_(static_cast<std::size_t>(sym.n_supernodes)),
-      update_done_(static_cast<std::size_t>(sym.n_supernodes)) {}
+      update_done_(static_cast<std::size_t>(sym.n_supernodes)) {
+  run_.factor = &factor;
+}
 
 index_t FactorDag::slab_count(count_t flops, index_t rows) const {
   if (n_workers_ <= 1 || flops < kTaskMinFlops) return 1;
@@ -63,20 +62,10 @@ void FactorDag::release_scratch(std::unique_ptr<FrontScratch> scratch) {
   scratch_pool_.push_back(std::move(scratch));
 }
 
-/// Update-stack accounting once supernode s's assembly has consumed its
-/// children: the children's blocks die, s's block is now live.
-void FactorDag::finish_assembly(index_t s) {
-  mem_.add(update_of_[static_cast<std::size_t>(s)].size() * sizeof(real_t));
-  for (index_t c : children_[static_cast<std::size_t>(s)]) {
-    auto& cu = update_of_[static_cast<std::size_t>(c)];
-    mem_.sub(cu.size() * sizeof(real_t));
-    cu = {};
-  }
-}
-
 void FactorDag::emit(rt::TaskGraph& graph) {
   for (index_t s = 0; s < sym_.n_supernodes; ++s) {
-    if (sym_.sn_flops[s] < fuse_flops_) {
+    // A checked front is one unit: its retries and repairs span stages.
+    if (run_.checked.has_value() || sym_.sn_flops[s] < fuse_flops_) {
       emit_fused(graph, s);
     } else {
       emit_split(graph, s);
@@ -90,18 +79,12 @@ void FactorDag::emit_fused(rt::TaskGraph& graph, index_t s) {
       elim,
       [this, s] {
         auto scratch = acquire_scratch();
-        const count_t boosted = eliminate_front(
-            sym_, s, update_of_, children_, factor_.panel(s),
-            update_of_[static_cast<std::size_t>(s)], *scratch, kind_, d_,
-            pivot_);
+        run_front(run_, s, factor_.panel(s), *scratch);
         release_scratch(std::move(scratch));
-        if (boosted > 0)
-          perturbations_.fetch_add(boosted, std::memory_order_relaxed);
-        finish_assembly(s);
       },
       static_cast<double>(std::max<count_t>(sym_.sn_flops[s], 1)));
   std::vector<tag_t> deps;
-  for (index_t c : children_[static_cast<std::size_t>(s)]) {
+  for (index_t c : run_.children[static_cast<std::size_t>(s)]) {
     const auto& done = update_done_[static_cast<std::size_t>(c)];
     deps.insert(deps.end(), done.begin(), done.end());
   }
@@ -121,7 +104,7 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
   const tag_t asm_tag = rt::make_tag(TaskKind::kAssemble, k);
   count_t asm_cost = sym_.a.col_ptr[sym_.sn_start[s + 1]] -
                      sym_.a.col_ptr[first];
-  for (index_t c : children_[su]) {
+  for (index_t c : run_.children[su]) {
     const count_t cb = sym_.sn_below(c);
     asm_cost += cb * (cb + 1) / 2;
   }
@@ -129,15 +112,17 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
       asm_tag,
       [this, s] {
         auto scratch = acquire_scratch();
-        assemble_front(sym_, s, update_of_, children_, factor_.panel(s),
-                       update_of_[static_cast<std::size_t>(s)], *scratch);
+        const MatrixView panel = factor_.panel(s);
+        panel.fill(0.0);
+        assemble_front(sym_, s, run_.update_of, run_.children, panel,
+                       run_.update_of[static_cast<std::size_t>(s)], *scratch);
         release_scratch(std::move(scratch));
-        finish_assembly(s);
+        run_.consume_children(s);
       },
       static_cast<double>(std::max<count_t>(asm_cost, 1)));
   {
     std::vector<tag_t> deps;
-    for (index_t c : children_[su]) {
+    for (index_t c : run_.children[su]) {
       const auto& done = update_done_[static_cast<std::size_t>(c)];
       deps.insert(deps.end(), done.begin(), done.end());
     }
@@ -149,10 +134,8 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
   graph.add_task(
       potrf_tag,
       [this, s] {
-        const count_t boosted =
-            factor_front_diag(sym_, s, factor_.panel(s), kind_, d_, pivot_);
-        if (boosted > 0)
-          perturbations_.fetch_add(boosted, std::memory_order_relaxed);
+        run_.boosted_of[static_cast<std::size_t>(s)] = factor_front_diag(
+            sym_, s, factor_.panel(s), run_.kind, run_.d, run_.pivot);
       },
       static_cast<double>(
           std::max<count_t>(partial_cholesky_flops(p, p), 1)));
@@ -193,7 +176,7 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
   // Panel values are final after the TRSM slabs (Cholesky) or the LDLᵀ
   // rescale below.
   tag_t prep_tag = 0;
-  if (kind_ == FactorKind::kLdlt) {
+  if (run_.kind == FactorKind::kLdlt) {
     // --- PREP: copy M = L21 D, rescale panel to L21. One task; it reads
     // and writes the whole panel, so it needs every TRSM slab. ---
     prep_tag = rt::make_tag(TaskKind::kPrep, k);
@@ -202,7 +185,8 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
         prep_tag,
         [this, s, p, b, first] {
           MatrixView l21 = factor_.panel(s).block(p, 0, b, p);
-          ldlt_scale_panel(l21, d_, first, m_of_[static_cast<std::size_t>(s)]);
+          ldlt_scale_panel(l21, run_.d, first,
+                           m_of_[static_cast<std::size_t>(s)]);
         },
         static_cast<double>(2 * static_cast<count_t>(b) * p));
     graph.declare_deps(prep_tag, trsm_tags);
@@ -212,10 +196,10 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
   }
 
   // --- Trailing update, split into row slabs. ---
-  const count_t upd_flops = (kind_ == FactorKind::kCholesky ? 1 : 2) *
+  const count_t upd_flops = (run_.kind == FactorKind::kCholesky ? 1 : 2) *
                             static_cast<count_t>(b) * b * p;
   std::vector<tag_t> upd_tags;
-  if (kind_ == FactorKind::kCholesky) {
+  if (run_.kind == FactorKind::kCholesky) {
     index_t slabs = slab_count(upd_flops, b);
     if (!syrk_splittable(b, p)) slabs = 1;  // small path: must stay whole
     if (slabs <= 1) {
@@ -223,7 +207,7 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
       graph.add_task(
           tag,
           [this, s, p, b] {
-            auto& upd = update_of_[static_cast<std::size_t>(s)];
+            auto& upd = run_.update_of[static_cast<std::size_t>(s)];
             MatrixView update{upd.data(), b, b, b};
             ConstMatrixView l21 = factor_.panel(s).block(p, 0, b, p);
             syrk_lower_update(update, l21);
@@ -243,7 +227,7 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
         graph.add_task(
             tag,
             [this, s, p, b, r0, r1] {
-              auto& upd = update_of_[static_cast<std::size_t>(s)];
+              auto& upd = run_.update_of[static_cast<std::size_t>(s)];
               MatrixView update{upd.data(), b, b, b};
               ConstMatrixView l21 = factor_.panel(s).block(p, 0, b, p);
               syrk_lower_update_slab(update, l21, r0, r1);
@@ -276,7 +260,7 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
           tag,
           [this, s, p, b, r0, r1, slabs] {
             if (r0 < r1) {
-              auto& upd = update_of_[static_cast<std::size_t>(s)];
+              auto& upd = run_.update_of[static_cast<std::size_t>(s)];
               auto& m = m_of_[static_cast<std::size_t>(s)];
               MatrixView update{upd.data(), b, b, b};
               ConstMatrixView l21 = factor_.panel(s).block(p, 0, b, p);
@@ -309,10 +293,11 @@ CholeskyFactor multifrontal_factor_parallel(const SymbolicFactor& sym,
                                             FactorKind kind,
                                             count_t coop_flops,
                                             PivotPolicy pivot,
-                                            CancelToken cancel) {
-  CholeskyFactor factor(sym);
+                                            CancelToken cancel,
+                                            const AbftOptions* abft) {
+  CholeskyFactor factor(sym, CholeskyFactor::Uninitialized{});
   multifrontal_refactor_parallel(sym, factor, pool, stats, kind, coop_flops,
-                                 pivot, std::move(cancel));
+                                 pivot, std::move(cancel), abft);
   return factor;
 }
 
@@ -320,28 +305,20 @@ void multifrontal_refactor_parallel(const SymbolicFactor& sym,
                                     CholeskyFactor& factor, ThreadPool& pool,
                                     FactorStats* stats, FactorKind kind,
                                     count_t coop_flops, PivotPolicy pivot,
-                                    CancelToken cancel) {
+                                    CancelToken cancel,
+                                    const AbftOptions* abft) {
   PARFACT_CHECK(&factor.symbolic() == &sym);
   WallTimer timer;
   pivot = resolve_pivot_policy(pivot, sym.a);
-  // FactorDag requires zeroed panels; reset restores that invariant for a
-  // reused allocation (and is a no-op cost on a fresh one).
-  factor.reset_values();
   std::span<real_t> d;
   if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
 
   detail::FactorDag dag(sym, factor, kind, d, pivot, coop_flops,
-                        pool.size() + 1);
+                        pool.size() + 1, abft);
   rt::TaskGraph graph;
   dag.emit(graph);
   rt::run_graph(graph, pool, std::move(cancel));
-
-  if (stats != nullptr) {
-    stats->seconds = timer.seconds();
-    stats->flops = sym.total_flops;
-    stats->peak_update_bytes = dag.peak_update_bytes();
-    stats->pivot_perturbations = dag.perturbations();
-  }
+  dag.run().report(stats, timer);
 }
 
 }  // namespace parfact

@@ -14,8 +14,12 @@
 // dense::syrk_lower_update_slab (packed-engine pieces whose per-element
 // summation order is row-partition-invariant, and fronts where that does
 // not hold are never split); LDLᵀ update slabs call the serial gemm_nt
-// kernel on disjoint row blocks. Perturbation counts are per-front sums of
-// schedule-independent serial POTRF/LDLᵀ runs.
+// kernel on disjoint row blocks. Pivot counts are kept per front and summed
+// once at the end, so they are schedule-independent.
+//
+// The per-front state (tree, update stack, pivot counts, memory) is the
+// serial driver's FrontRun, and the fused ELIM task is its run_front: with
+// ABFT on, every front is emitted fused and runs the checked front.
 //
 // The builder exposes per-supernode panel-ready tags so the fused
 // factor+solve driver (solve/fused.h) can hang forward-solve tasks off
@@ -29,9 +33,8 @@
 #include <vector>
 
 #include "mf/factor.h"
-#include "mf/front_kernel.h"
+#include "mf/front_driver.h"
 #include "mf/multifrontal.h"
-#include "mf/update_memory.h"
 #include "runtime/task_graph.h"
 #include "symbolic/symbolic_factor.h"
 
@@ -42,13 +45,15 @@ namespace parfact::detail {
 /// then read the accumulated statistics. Must outlive the graph execution.
 class FactorDag {
  public:
-  /// `factor` must be freshly constructed from `sym` (zeroed panels; diag
-  /// allocated by the caller in LDLᵀ mode). `fuse_flops`: fronts below this
-  /// flop count become single fused tasks. `n_workers`: scheduler width,
-  /// used only to pick slab counts (never affects numeric results).
+  /// `factor` must be built from `sym` (any values: every front zeroes its
+  /// panel; diag allocated by the caller in LDLᵀ mode). `fuse_flops`: fronts
+  /// below this flop count become single fused tasks. `n_workers`: scheduler
+  /// width, used only to pick slab counts (never affects numeric results).
+  /// Non-null `abft` fuses every front and runs it ABFT-checked.
   FactorDag(const SymbolicFactor& sym, CholeskyFactor& factor,
             FactorKind kind, std::span<real_t> d, PivotPolicy pivot,
-            count_t fuse_flops, int n_workers);
+            count_t fuse_flops, int n_workers,
+            const AbftOptions* abft = nullptr);
 
   /// Emits every factorization task into `graph` in topological order
   /// (postorder over supernodes, pipeline order within a front).
@@ -60,29 +65,22 @@ class FactorDag {
     return panel_ready_[static_cast<std::size_t>(s)];
   }
 
-  [[nodiscard]] count_t perturbations() const {
-    return perturbations_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t peak_update_bytes() const { return mem_.peak(); }
+  /// The run's shared state; report() it once the graph has run.
+  [[nodiscard]] const FrontRun& run() const { return run_; }
 
  private:
   void emit_fused(rt::TaskGraph& graph, index_t s);
   void emit_split(rt::TaskGraph& graph, index_t s);
   [[nodiscard]] index_t slab_count(count_t flops, index_t rows) const;
-  void finish_assembly(index_t s);
   std::unique_ptr<FrontScratch> acquire_scratch();
   void release_scratch(std::unique_ptr<FrontScratch> scratch);
 
   const SymbolicFactor& sym_;
   CholeskyFactor& factor_;
-  const FactorKind kind_;
-  const std::span<real_t> d_;
-  const PivotPolicy pivot_;
   const count_t fuse_flops_;
   const int n_workers_;
+  FrontRun run_;
 
-  std::vector<std::vector<index_t>> children_;
-  std::vector<std::vector<real_t>> update_of_;
   /// LDLᵀ split fronts: M = L21 D buffers, freed by the last update slab.
   std::vector<std::vector<real_t>> m_of_;
   std::vector<std::unique_ptr<std::atomic<index_t>>> m_refs_;
@@ -93,8 +91,6 @@ class FactorDag {
 
   std::mutex scratch_mu_;
   std::vector<std::unique_ptr<FrontScratch>> scratch_pool_;
-  UpdateMemory mem_;
-  std::atomic<count_t> perturbations_{0};
 };
 
 }  // namespace parfact::detail

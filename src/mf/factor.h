@@ -44,9 +44,10 @@ class CholeskyFactor {
   /// Allocates zeroed panels shaped by `sym`. `sym` must outlive this object.
   explicit CholeskyFactor(const SymbolicFactor& sym);
   /// Allocates panels shaped by `sym` with unspecified values, for a caller
-  /// that overwrites every value before reading any (the OOC reload reads
-  /// the whole factor over them; zero-filling first would cost one more
-  /// pass over the factor's memory).
+  /// that overwrites every value before reading any (the numeric engines
+  /// zero each panel right before its front; the OOC reload reads the
+  /// whole factor over them). Zero-filling first would cost one more pass
+  /// over the factor's memory.
   CholeskyFactor(const SymbolicFactor& sym, Uninitialized);
 
   [[nodiscard]] const SymbolicFactor& symbolic() const { return *sym_; }
@@ -59,12 +60,6 @@ class CholeskyFactor {
   /// out-of-core scratch file mirrors, so a factor spills in one write.
   [[nodiscard]] std::span<real_t> values() { return values_; }
   [[nodiscard]] std::span<const real_t> values() const { return values_; }
-
-  /// Zero-fills every panel (and D, if allocated) in place without touching
-  /// the allocation. Restores the freshly-constructed state the numeric
-  /// engines require, so a factor object can be reused across refactorize
-  /// calls with no allocator traffic.
-  void reset_values();
 
   /// Total stored entries (== symbolic().nnz_stored).
   [[nodiscard]] count_t stored_entries() const {

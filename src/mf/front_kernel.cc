@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -233,5 +234,16 @@ std::vector<std::vector<index_t>> build_children(const SymbolicFactor& sym) {
   return children;
 }
 
+std::vector<index_t> first_descendants(const SymbolicFactor& sym) {
+  std::vector<index_t> first(static_cast<std::size_t>(sym.n_supernodes));
+  std::iota(first.begin(), first.end(), 0);
+  // Children precede their parent in postorder, so each subtree start is
+  // final before it propagates upward.
+  for (index_t s = 0; s < sym.n_supernodes; ++s) {
+    const index_t parent = sym.sn_parent[s];
+    if (parent != kNone) first[parent] = std::min(first[parent], first[s]);
+  }
+  return first;
+}
 
 }  // namespace parfact::detail

@@ -1,10 +1,11 @@
 // Internal: the single-front assemble/eliminate kernel shared by the
-// in-core, out-of-core and shared-memory multifrontal drivers, split into
+// serial front driver (front_driver.h) and the task-DAG engine, split into
 // its pipeline stages so the task-DAG engine (dag_factor.h) can schedule
 // them as separate graph nodes. eliminate_front recomposes the stages and
 // is bitwise identical to the historical monolithic kernel.
 #pragma once
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -14,16 +15,8 @@
 
 namespace parfact::detail {
 
-/// Per-worker scratch: the global-row -> front-local-row map. Entries are
-/// only valid for the front currently being assembled and are reset after.
-struct FrontScratch {
-  std::vector<index_t> local_of;
-  explicit FrontScratch(index_t n)
-      : local_of(static_cast<std::size_t>(n), kNone) {}
-};
-
 /// Split column sums of the child update blocks consumed by assembly,
-/// produced on request by assemble_front (the ABFT engine's
+/// produced on request by assemble_front (the ABFT check's
 /// consumption-time verification — the blocks are summed from the very
 /// read the extend-add performs, never re-read). For child i (in fixed
 /// child order) and column cj of its block, entries [4*cj+0..1] hold the
@@ -32,6 +25,47 @@ struct FrontScratch {
 /// update seed; pre+suf is the block column's full lower sum.
 struct AssemblySums {
   std::vector<std::vector<real_t>> per_child;
+};
+
+/// Per-column {value, magnitude} sums: an ABFT identity's two sides.
+struct ColSums {
+  std::vector<real_t> sum;
+  std::vector<real_t> abs;
+  void reset(index_t n) {
+    sum.assign(static_cast<std::size_t>(n), 0.0);
+    abs.assign(static_cast<std::size_t>(n), 0.0);
+  }
+  void add(index_t j, real_t v) {
+    sum[static_cast<std::size_t>(j)] += v;
+    abs[static_cast<std::size_t>(j)] += std::abs(v);
+  }
+};
+
+/// The ABFT-checked front's buffers (abft.cc), reused across fronts so the
+/// O(front^2) checks never allocate. Only valid within one front attempt.
+struct CheckScratch {
+  AssemblySums asm_sums;       ///< child split sums from the extend-add
+  ColSums asm_pred;            ///< predicted lower A11 sums (A + carried)
+  ColSums a11_pre;             ///< actual symmetric A11 sums (POTRF base)
+  ColSums a21_pre;             ///< predicted A21 column sums (A + carried)
+  ColSums u0;                  ///< predicted lower update-seed sums
+  ColSums l11sums;             ///< L11 column sums after the diagonal kernel
+  ColSums msums;               ///< M = A21 L11⁻ᵀ column sums after TRSM
+  ColSums l21sums;             ///< L21 column sums (LDLᵀ rescale check)
+  ColSums update_pred;         ///< UPDATE-identity prediction + scale
+  ColSums potrf_pred;          ///< POTRF-identity prediction + scale
+  ColSums trsm_pred;           ///< TRSM-identity prediction + scale
+  std::vector<real_t> mstore;  ///< LDLᵀ unscaled panel M
+};
+
+/// Per-worker scratch: the global-row -> front-local-row map (entries are
+/// only valid for the front currently being assembled and are reset
+/// after), plus the ABFT check buffers, untouched by unchecked fronts.
+struct FrontScratch {
+  std::vector<index_t> local_of;
+  CheckScratch check;
+  explicit FrontScratch(index_t n)
+      : local_of(static_cast<std::size_t>(n), kNone) {}
 };
 
 /// Stage 1 — assembly: zeroes `update_out` (resized to b x b), scatters the
@@ -85,6 +119,11 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
 
 /// Child lists of the assembly tree.
 [[nodiscard]] std::vector<std::vector<index_t>> build_children(
+    const SymbolicFactor& sym);
+
+/// First descendant of every supernode: the postordered subtree of s is the
+/// contiguous range [first[s], s].
+[[nodiscard]] std::vector<index_t> first_descendants(
     const SymbolicFactor& sym);
 
 }  // namespace parfact::detail

@@ -56,18 +56,18 @@ GovernedFactorizeResult multifrontal_factorize_governed(
 
   try {
     if (spill) {
-      result.ooc.emplace(multifrontal_factor_ooc(sym, opts.spill_path,
-                                                 &result.stats, opts.pivot,
-                                                 opts.kind, opts.cancel));
+      result.ooc.emplace(multifrontal_factor_ooc(
+          sym, opts.spill_path, &result.stats, opts.pivot, opts.kind,
+          opts.cancel, opts.abft));
       result.bytes_spilled =
           static_cast<std::size_t>(result.ooc->bytes_on_disk());
     } else if (want_parallel) {
       result.factor.emplace(multifrontal_factor_parallel(
           sym, *opts.pool, &result.stats, opts.kind, kCoopFrontFlops,
-          opts.pivot, opts.cancel));
+          opts.pivot, opts.cancel, opts.abft));
     } else {
       result.factor.emplace(multifrontal_factor(
-          sym, &result.stats, opts.kind, opts.pivot, opts.cancel));
+          sym, &result.stats, opts.kind, opts.pivot, opts.cancel, opts.abft));
     }
     result.status = Status::success(result.stats.pivot_perturbations);
   } catch (const StatusError& e) {

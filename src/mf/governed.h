@@ -20,6 +20,9 @@
 // stays meaningful either way. A limited budget that admits in-core runs
 // the *serial* engine: its postorder memory profile is exactly what was
 // reserved, whereas a parallel schedule can transiently exceed it.
+//
+// ABFT is a property of the fronts, not a rung: with GovernedOptions::abft
+// set, every rung (task DAG, serial in-core, spill) runs checked fronts.
 #pragma once
 
 #include <optional>
@@ -54,6 +57,8 @@ struct GovernedOptions {
   /// ladder then goes straight from in-core to rejected).
   std::string spill_path;
   CancelToken cancel;
+  /// Non-null runs every front ABFT-checked, on whichever rung admits.
+  const AbftOptions* abft = nullptr;
 };
 
 /// Outcome of a governed factorization. Exactly one of `factor` / `ooc` is

@@ -15,6 +15,8 @@
 
 namespace parfact {
 
+struct AbftOptions;  // mf/abft.h
+
 /// Which numeric factorization to compute on each front.
 enum class FactorKind {
   kCholesky,  ///< A = L Lᵀ, requires SPD
@@ -48,23 +50,28 @@ struct PivotPolicy {
 ///
 /// Every engine below polls `cancel` at supernode (or DAG-task) granularity
 /// and unwinds with StatusError(kCancelled / kDeadlineExceeded) when it
-/// trips, leaving the pool reusable and no partial factor behind.
+/// trips, leaving the pool reusable and no partial factor behind. With
+/// `abft` set, every front runs ABFT-checked (mf/abft.h): the same factor
+/// bit for bit on a clean run, detected corruption repaired in place, and
+/// StatusError(kDataCorruption) naming the front for a fault that persists.
 [[nodiscard]] CholeskyFactor multifrontal_factor(
     const SymbolicFactor& sym, FactorStats* stats = nullptr,
     FactorKind kind = FactorKind::kCholesky, PivotPolicy pivot = {},
-    CancelToken cancel = {});
+    CancelToken cancel = {}, const AbftOptions* abft = nullptr);
 
 /// Re-runs the serial numeric factorization *into an existing allocation*:
-/// `factor` must have been built from this `sym` (checked), is zeroed in
-/// place, and is overwritten with the factor of the current sym.a values.
-/// No ordering, symbolic analysis, or panel allocation happens — this is
-/// the numeric-only fast path behind Solver::refactorize. Bitwise identical
-/// to a cold multifrontal_factor on the same values. On throw (breakdown /
-/// cancellation) the panel contents are unspecified; discard or reset them.
+/// `factor` must have been built from this `sym` (checked); each panel is
+/// zeroed right before its front and overwritten with the factor of the
+/// current sym.a values. No ordering, symbolic analysis, or panel
+/// allocation happens — this is the numeric-only fast path behind
+/// Solver::refactorize. Bitwise identical to a cold multifrontal_factor on
+/// the same values. On throw (breakdown / cancellation) the panel contents
+/// are unspecified; discard them or refactor again.
 void multifrontal_refactor(const SymbolicFactor& sym, CholeskyFactor& factor,
                            FactorStats* stats = nullptr,
                            FactorKind kind = FactorKind::kCholesky,
-                           PivotPolicy pivot = {}, CancelToken cancel = {});
+                           PivotPolicy pivot = {}, CancelToken cancel = {},
+                           const AbftOptions* abft = nullptr);
 
 /// A front whose factorization flops reach this threshold is emitted into
 /// the task DAG as an assemble → POTRF → TRSM-slab → update-slab pipeline
@@ -82,11 +89,12 @@ inline constexpr count_t kCoopFrontFlops = 20'000'000;
 /// fronts. Extend-add order is fixed by child index and every slab kernel
 /// is bitwise identical to its serial counterpart, so the factor matches
 /// multifrontal_factor exactly, independent of thread count and schedule.
+/// With `abft` set every front is one fused, ABFT-checked task.
 [[nodiscard]] CholeskyFactor multifrontal_factor_parallel(
     const SymbolicFactor& sym, ThreadPool& pool, FactorStats* stats = nullptr,
     FactorKind kind = FactorKind::kCholesky,
     count_t coop_flops = kCoopFrontFlops, PivotPolicy pivot = {},
-    CancelToken cancel = {});
+    CancelToken cancel = {}, const AbftOptions* abft = nullptr);
 
 /// Task-DAG counterpart of multifrontal_refactor: re-runs the parallel
 /// numeric factorization into an existing allocation (same contract).
@@ -96,6 +104,7 @@ void multifrontal_refactor_parallel(const SymbolicFactor& sym,
                                     FactorKind kind = FactorKind::kCholesky,
                                     count_t coop_flops = kCoopFrontFlops,
                                     PivotPolicy pivot = {},
-                                    CancelToken cancel = {});
+                                    CancelToken cancel = {},
+                                    const AbftOptions* abft = nullptr);
 
 }  // namespace parfact

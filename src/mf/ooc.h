@@ -96,14 +96,17 @@ class OocCholeskyFactor {
   void write_at(count_t offset, const void* data, std::size_t bytes);
 };
 
-/// Out-of-core serial multifrontal factorization (Cholesky or LDLᵀ).
+/// Out-of-core serial multifrontal factorization (Cholesky or LDLᵀ): the
+/// serial front driver with each panel streamed to the scratch file.
 /// `stats->peak_update_bytes` reports the resident peak — update stack plus
-/// the one streamed panel buffer — the number that stays small while the
-/// factor itself goes to disk. Polls `cancel` once per supernode.
+/// the streamed panel buffer — the number that stays small while the
+/// factor itself goes to disk. Polls `cancel` once per supernode. `abft`
+/// as for multifrontal_factor; a repair rewrites the affected panels.
 [[nodiscard]] OocCholeskyFactor multifrontal_factor_ooc(
     const SymbolicFactor& sym, const std::string& path,
     FactorStats* stats = nullptr, PivotPolicy pivot = {},
-    FactorKind kind = FactorKind::kCholesky, CancelToken cancel = {});
+    FactorKind kind = FactorKind::kCholesky, CancelToken cancel = {},
+    const AbftOptions* abft = nullptr);
 
 /// x := A⁻¹ x with panels streamed from disk (x is n x nrhs).
 void ooc_solve_in_place(const OocCholeskyFactor& factor, MatrixView x);

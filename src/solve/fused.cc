@@ -23,7 +23,7 @@ CholeskyFactor multifrontal_factor_and_solve(
   PARFACT_CHECK_MSG(schedule.sym == &sym,
                     "SolveSchedule built for a different SymbolicFactor");
   pivot = resolve_pivot_policy(pivot, sym.a);
-  CholeskyFactor factor(sym);
+  CholeskyFactor factor(sym, CholeskyFactor::Uninitialized{});
   std::span<real_t> d;
   if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
 
@@ -77,12 +77,7 @@ CholeskyFactor multifrontal_factor_and_solve(
                    workspace, &pool);
   }
 
-  if (stats != nullptr) {
-    stats->seconds = timer.seconds();
-    stats->flops = sym.total_flops;
-    stats->peak_update_bytes = dag.peak_update_bytes();
-    stats->pivot_perturbations = dag.perturbations();
-  }
+  dag.run().report(stats, timer);
   return factor;
 }
 

@@ -19,6 +19,7 @@
 #include "dist/dist_factor.h"
 #include "dist/mapping.h"
 #include "mf/abft.h"
+#include "mf/governed.h"
 #include "mf/multifrontal.h"
 #include "mpsim/machine.h"
 #include "sparse/gen.h"
@@ -363,14 +364,171 @@ TEST(SolverSdc, AbftFactorizeMatchesPlainAndSolves) {
   EXPECT_LT(guarded.residual(x, b), 1e-10);
 }
 
-TEST(SolverSdc, AbftRejectsMemoryBudgetCombination) {
+// --- ABFT on every engine and every rung of the governed ladder -------------
+
+// The bitwise oracle: plain serial multifrontal_factor on the solver's own
+// analysis (threads > 1 orders with the parallel ND, so each solver needs
+// its own reference), under the Solver's default static pivoting.
+CholeskyFactor serial_reference(const Solver& solver, FactorKind kind) {
+  PivotPolicy pivot;
+  pivot.boost = true;
+  return multifrontal_factor(solver.symbolic(), nullptr, kind, pivot);
+}
+
+void expect_abft_factor_is_serial(const Solver& solver,
+                                  const CholeskyFactor& got, FactorKind kind) {
+  const CholeskyFactor want = serial_reference(solver, kind);
+  expect_factors_bitwise_equal(solver.symbolic(), want, got);
+  ASSERT_EQ(want.diag().size(), got.diag().size());
+  for (std::size_t k = 0; k < want.diag().size(); ++k) {
+    ASSERT_EQ(want.diag()[k], got.diag()[k]) << "d[" << k << "]";
+  }
+  EXPECT_GT(solver.report().abft_checks, 0);
+  EXPECT_EQ(solver.report().abft_detections, 0);
+}
+
+SolverOptions abft_options(FactorKind kind, int threads) {
   SolverOptions options;
   options.abft = true;
-  options.memory_budget_bytes = 1 << 20;
+  options.factor_kind = kind;
+  options.threads = threads;
+  return options;
+}
+
+class AbftEngineP : public ::testing::TestWithParam<FactorKind> {};
+
+TEST_P(AbftEngineP, BitwiseSerialAtEveryThreadCount) {
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    Solver solver(abft_options(GetParam(), threads));
+    solver.analyze(test_matrix());
+    ASSERT_TRUE(solver.factorize().ok());
+    EXPECT_EQ(solver.report().admission, Admission::kUnlimited);
+    expect_abft_factor_is_serial(solver, solver.factor(), GetParam());
+  }
+}
+
+TEST_P(AbftEngineP, BitwiseSerialUnderInCoreBudget) {
+  Solver solver(abft_options(GetParam(), 4));
+  solver.analyze(test_matrix());
+  const WorkingSetEstimate est = estimate_working_set(
+      solver.symbolic(), GetParam() == FactorKind::kLdlt);
+  solver.set_memory_budget_bytes(est.peak_incore_bytes);
+  ASSERT_TRUE(solver.factorize().ok());
+  EXPECT_EQ(solver.report().admission, Admission::kInCore);
+  expect_abft_factor_is_serial(solver, solver.factor(), GetParam());
+}
+
+TEST_P(AbftEngineP, BitwiseSerialOnSpillRung) {
+  Solver solver(abft_options(GetParam(), 4));
+  solver.analyze(test_matrix());
+  const WorkingSetEstimate est = estimate_working_set(
+      solver.symbolic(), GetParam() == FactorKind::kLdlt);
+  solver.set_memory_budget_bytes(est.peak_incore_bytes - 1);
+  ASSERT_TRUE(solver.factorize().ok());
+  EXPECT_EQ(solver.report().admission, Admission::kSpill);
+  ASSERT_TRUE(solver.factor_spilled());
+  CholeskyFactor readback(solver.symbolic(), CholeskyFactor::Uninitialized{});
+  solver.ooc_factor().read_factor(readback);
+  expect_abft_factor_is_serial(solver, readback, GetParam());
+}
+
+TEST_P(AbftEngineP, BitwiseSerialAfterRefactorize) {
+  const SparseMatrix a = test_matrix();
+  SparseMatrix scaled = a;
+  for (real_t& v : scaled.values) v *= 3.0;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    Solver solver(abft_options(GetParam(), threads));
+    solver.analyze(a);
+    ASSERT_TRUE(solver.factorize().ok());
+    ASSERT_TRUE(solver.refactorize(scaled.values).ok());
+    // The report is per numeric call: these checks are the refactorize's.
+    expect_abft_factor_is_serial(solver, solver.factor(), GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, AbftEngineP,
+                         ::testing::Values(FactorKind::kCholesky,
+                                           FactorKind::kLdlt));
+
+// A fault campaign on the 4-thread task DAG, aimed at a front with a
+// below-diagonal block of that solver's own analysis.
+SolverOptions threaded_campaign(SdcSite site, std::uint64_t seed,
+                                bool sticky) {
+  SolverOptions options = abft_options(FactorKind::kCholesky, 4);
+  Solver probe(options);
+  probe.analyze(test_matrix());
+  options.inject_sdc = SdcInjection{};
+  options.inject_sdc->site = site;
+  options.inject_sdc->seed = seed;
+  options.inject_sdc->supernode = supernode_with_below(probe.symbolic());
+  options.inject_sdc->sticky = sticky;
+  return options;
+}
+
+TEST_P(AbftSiteP, FlipOnTaskDagHealedBitwiseIdentical) {
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+    SCOPED_TRACE(seed);
+    Solver solver(threaded_campaign(GetParam(), seed, false));
+    solver.analyze(test_matrix());
+    ASSERT_TRUE(solver.factorize().ok());
+    EXPECT_GE(solver.report().abft_detections, 1);
+    EXPECT_GE(solver.report().fronts_recomputed, 1);
+    expect_factors_bitwise_equal(
+        solver.symbolic(), serial_reference(solver, FactorKind::kCholesky),
+        solver.factor());
+  }
+}
+
+TEST(SolverSdc, RepairedBoostedSubtreeOnTaskDagCountsOnce) {
+  // Boosted pivots are counted per front, so a front that a repair
+  // recomputes contributes its boosts once. Scaling one row and column
+  // down to ~1e-30 forces a boost without decoupling the front; a flip in
+  // that front's update block makes its parent re-run the subtree.
+  SparseMatrix a = test_matrix();
+  const index_t tiny = a.cols / 3;
+  for (index_t j = 0; j < a.cols; ++j) {
+    for (index_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
+      if (j == tiny || a.row_ind[q] == tiny) a.values[q] *= 1e-30;
+    }
+  }
+  SolverOptions options = abft_options(FactorKind::kCholesky, 4);
+  Solver clean(options);
+  clean.analyze(a);
+  const Status clean_status = clean.factorize();
+  ASSERT_FALSE(clean_status.failed()) << clean_status.to_string();
+  const count_t boosts = clean.report().pivot_perturbations;
+  ASSERT_GT(boosts, 0);
+  const SymbolicFactor& sym = clean.symbolic();
+  index_t target = kNone;
+  for (index_t j = 0; j < sym.n && target == kNone; ++j) {
+    if (std::abs(sym.a.values[sym.a.col_ptr[j]]) < 1e-20) target = sym.sn_of[j];
+  }
+  ASSERT_NE(target, kNone);
+  ASSERT_GT(sym.sn_below(target), 0);
+
+  options.inject_sdc = SdcInjection{};
+  options.inject_sdc->site = SdcSite::kUpdate;
+  options.inject_sdc->supernode = target;
+  Solver struck(options);
+  struck.analyze(a);
+  const Status st = struck.factorize();
+  ASSERT_FALSE(st.failed()) << st.to_string();
+  EXPECT_GE(struck.report().abft_detections, 1);
+  EXPECT_GE(struck.report().fronts_recomputed, 1);
+  EXPECT_EQ(struck.report().pivot_perturbations, boosts);
+  expect_factors_bitwise_equal(sym, clean.factor(), struck.factor());
+}
+
+TEST(SolverSdc, StickyFlipOnTaskDagReturnsDataCorruption) {
+  const SolverOptions options = threaded_campaign(SdcSite::kPotrf, 1, true);
   Solver solver(options);
   solver.analyze(test_matrix());
   const Status status = solver.factorize();
-  EXPECT_EQ(status.code, StatusCode::kInvalidInput);
+  EXPECT_EQ(status.code, StatusCode::kDataCorruption);
+  EXPECT_EQ(status.failed_supernode, options.inject_sdc->supernode);
+  EXPECT_FALSE(solver.has_factor());
 }
 
 TEST(SolverSdc, FactorizationSiteInjectionRequiresAbft) {
@@ -429,6 +587,37 @@ TEST(SolverSdc, StoredFactorFlipHealedByLocalizedRecompute) {
   EXPECT_LT(solver.report().fronts_recomputed, solver.report().n_supernodes)
       << "repair should be localized, not a full refactorize";
   EXPECT_LE(solver.report().verify_residual, options.verify_tolerance);
+  ASSERT_EQ(x.size(), want.size());
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
+}
+
+TEST(SolverSdc, StoredFactorChecksumsSurviveSpillAndReload) {
+  // A verified reload restores the factor bitwise, so the at-rest sums
+  // taken at factorize still localize the flip after an eviction.
+  const SparseMatrix a = test_matrix();
+  const std::vector<real_t> b = random_vector(a.rows, 5);
+
+  Solver reference;
+  reference.analyze(a);
+  ASSERT_TRUE(reference.factorize().ok());
+  const std::vector<real_t> want = reference.solve(b);
+
+  SolverOptions options;
+  options.abft = true;
+  options.verify = SolverOptions::Verify::kSampled;
+  options.inject_sdc = SdcInjection{};
+  options.inject_sdc->site = SdcSite::kStoredFactor;
+  options.inject_sdc->supernode = 1;
+  Solver solver(options);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  ASSERT_TRUE(solver.spill_factor().ok());
+  ASSERT_TRUE(solver.unspill_factor().ok());
+  const std::vector<real_t> x = solver.solve(b);
+  EXPECT_TRUE(solver.report().corruption_detected);
+  EXPECT_GE(solver.report().fronts_recomputed, 1);
+  EXPECT_LT(solver.report().fronts_recomputed, solver.report().n_supernodes)
+      << "repair should be localized, not a full refactorize";
   ASSERT_EQ(x.size(), want.size());
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
 }
